@@ -51,17 +51,22 @@ class Record:
         object.__setattr__(self, "generators", tuple(self.generators))
 
     def validate(self, cfg: HashConfig) -> "Record":
-        """Check digest well-formedness and generator count against cfg."""
-        validate_digest(cfg, self.token, "token")
-        validate_digest(cfg, self.key, "key")
-        if len(self.generators) != cfg.generator_count:
+        """The one field check: generator count, digest form, data size.
+
+        Digest errors name the field's position in the record line.
+        """
+        m = cfg.generator_count
+        if len(self.generators) != m:
             raise RecordFormatError(
-                f"expected {cfg.generator_count} generator fields, "
-                f"got {len(self.generators)}"
+                f"expected {m} generator fields, got {len(self.generators)}"
             )
-        for j, g in enumerate(self.generators, start=1):
-            validate_digest(cfg, g, f"generator {j}")
-        validate_digest(cfg, self.owner, "owner")
+        for pos, value in enumerate((self.token, self.key, *self.generators, self.owner), start=2):
+            if not is_digest(cfg, value):
+                name = ("token", "key", *(f"generator {j}" for j in range(1, m + 1)), "owner")
+                raise RecordFormatError(
+                    f"field {pos} ({name[pos - 2]}): not a {cfg.digest_length}-char "
+                    f"lowercase hex digest: {value!r}"
+                )
         if self.data is not None and len(self.data.encode("utf-8")) > cfg.data_max_bytes:
             raise RecordFormatError(
                 f"data field exceeds {cfg.data_max_bytes} bytes"
@@ -133,7 +138,7 @@ def _parse_seq(text: str) -> int:
 
 
 def parse_record(cfg: HashConfig, line: str) -> Record:
-    """Parse one canonical record line; errors name the offending position."""
+    """Parse and validate one canonical record line; errors name the offending position."""
     if "\n" in line or "\r" in line:
         raise RecordFormatError("record line contains a newline")
     m = cfg.generator_count
@@ -144,21 +149,28 @@ def parse_record(cfg: HashConfig, line: str) -> Record:
             f"expected at least {head_fields} fields for {m} generators, "
             f"got {len(parts)}"
         )
-    seq = _parse_seq(parts[0])
-    names = ["token", "key"] + [f"generator {j}" for j in range(1, m + 1)] + ["owner"]
-    for pos, (name, value) in enumerate(zip(names, parts[1 : head_fields]), start=2):
-        if not is_digest(cfg, value):
-            raise RecordFormatError(
-                f"field {pos} ({name}): not a {cfg.digest_length}-char "
-                f"lowercase hex digest: {value!r}"
-            )
-    token = parts[1]
-    key = parts[2]
-    gens = tuple(parts[3 : 3 + m])
-    owner = parts[3 + m]
-    data = parts[head_fields] if len(parts) > head_fields else None
-    record = Record(seq=seq, token=token, key=key, generators=gens, owner=owner, data=data)
+    record = Record(
+        seq=_parse_seq(parts[0]),
+        token=parts[1],
+        key=parts[2],
+        generators=tuple(parts[3 : 3 + m]),
+        owner=parts[3 + m],
+        data=parts[head_fields] if len(parts) > head_fields else None,
+    )
     return record.validate(cfg)
+
+
+def _tower(cfg: HashConfig, token: str, reveal_seq: int, height: int, value: str) -> list[str]:
+    """Levels 1..height of the tower over value, innermost hash at reveal_seq.
+
+    Level h hashes at seq reveal_seq - h + 1, so the last level is the
+    whole tower: Hash(reveal_seq - height + 1, S, ... Hash(reveal_seq, S, value)).
+    """
+    levels: list[str] = []
+    for seq in range(reveal_seq, reveal_seq - height, -1):
+        value = canonical_hash(cfg, [seq, token, value])
+        levels.append(value)
+    return levels
 
 
 def key_cascade(cfg: HashConfig, token: str, reveal_seq: int, key: str) -> tuple[str, ...]:
@@ -173,23 +185,16 @@ def key_cascade(cfg: HashConfig, token: str, reveal_seq: int, key: str) -> tuple
     if reveal_seq < 1:
         raise ValueError(f"reveal_seq must be >= 1, got {reveal_seq}")
     validate_digest(cfg, key, "key")
-    out: list[str] = []
-    value = key
-    for h in range(1, cfg.generator_count + 2):
-        outer_seq = reveal_seq - h + 1
-        if outer_seq < 1:
-            break
-        value = canonical_hash(cfg, [outer_seq, token, value])
-        out.append(value)
-    return tuple(out)
+    height = min(cfg.generator_count + 1, reveal_seq)
+    return tuple(_tower(cfg, token, reveal_seq, height, key))
 
 
 def commitment_tower(cfg: HashConfig, token: str, reveal_seq: int, height: int, key: str) -> str:
     """The single height-h tower anchored at the key revealed in record reveal_seq."""
-    cascade = key_cascade(cfg, token, reveal_seq, key)
-    if height < 1 or height > len(cascade):
+    if height < 1 or height > min(cfg.generator_count + 1, reveal_seq):
         raise ValueError(f"height {height} out of range for reveal_seq {reveal_seq}")
-    return cascade[height - 1]
+    validate_digest(cfg, key, "key")
+    return _tower(cfg, token, reveal_seq, height, key)[-1]
 
 
 def fields_from_keys(
@@ -197,18 +202,18 @@ def fields_from_keys(
 ) -> tuple[tuple[str, ...], str]:
     """Build record seq's generator and owner fields from the next m+1 keys.
 
-    next_keys[i] is the key to be revealed by record seq+1+i. This is the
+    next_keys[i] is the key to be revealed by record seq+1+i; slot j (the
+    owner at j = m+1) is the height-j tower over next_keys[j-1]. This is the
     constructive side of the linking rules; expected_fields is the
     verification side, and the two must agree on honestly built chains.
     """
     m = cfg.generator_count
     if len(next_keys) != m + 1:
         raise ValueError(f"need exactly {m + 1} keys, got {len(next_keys)}")
-    gens = tuple(
-        commitment_tower(cfg, token, seq + j, j, next_keys[j - 1]) for j in range(1, m + 1)
+    *gens, owner = (
+        _tower(cfg, token, seq + j, j, key)[-1] for j, key in enumerate(next_keys, start=1)
     )
-    owner = commitment_tower(cfg, token, seq + m + 1, m + 1, next_keys[m])
-    return gens, owner
+    return tuple(gens), owner
 
 
 def expected_fields(
@@ -217,22 +222,18 @@ def expected_fields(
     """What prev's generators and owner must equal, given the next record's contents.
 
     Slot 1 commits to the next record's key; slot j+1 to its generator j;
-    the owner field to its last generator (to its key when m = 0).
+    the owner field to its last generator (to its key when m = 0). Each is
+    one tower level above the value it commits to.
     """
     m = cfg.generator_count
     if len(next_generators) != m:
         raise ValueError(
             f"generator count mismatch: expected {m}, got {len(next_generators)}"
         )
-    n = prev.seq + 1
-    gens: list[str] = []
-    if m >= 1:
-        gens.append(canonical_hash(cfg, [n, prev.token, next_key]))
-        for j in range(1, m):
-            gens.append(canonical_hash(cfg, [n, prev.token, next_generators[j - 1]]))
-        owner = canonical_hash(cfg, [n, prev.token, next_generators[m - 1]])
-    else:
-        owner = canonical_hash(cfg, [n, prev.token, next_key])
+    *gens, owner = (
+        _tower(cfg, prev.token, prev.seq + 1, 1, value)[-1]
+        for value in (next_key, *next_generators)
+    )
     return tuple(gens), owner
 
 

@@ -184,14 +184,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _effective_config(args).hash_config()
-    results: dict[str, tuple] = {}  # token -> (report, record count)
+    results: dict[str, tuple] = {}  # token -> (report, retained records)
     if args.host:
         if not args.token:
             raise CliError("host verification needs at least one --token", E_USAGE)
         with _connect(args.host) as client:
             for token in args.token:
                 token_chain = _fetch_chain(client, cfg, token)
-                results[token] = (verify_chain(cfg, token_chain), len(token_chain.records))
+                results[token] = (verify_chain(cfg, token_chain), token_chain.records)
     else:
         if not args.db:
             raise CliError("give a --db path or a --host", E_USAGE)
@@ -205,11 +205,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return E_FAIL
         with ledger:
             for token, report in ledger.verify_all().items():
-                results[token] = (report, len(ledger.get_chain(token)))
+                results[token] = (report, ledger.get_chain(token))
     failures = 0
-    for token, (report, count) in sorted(results.items()):
+    for token, (report, records) in sorted(results.items()):
         if report.ok:
-            print(f"ok {token} ({count} records)")
+            # what was proved: the retained window links, from its first seq
+            window = f"{len(records)} records"
+            if records:
+                window += f" from seq {records[0].seq}"
+                if records[0].seq > 0:
+                    window += ", genesis not retained"
+            print(f"ok {token} ({window})")
         else:
             failures += 1
             bad = report.first_failure

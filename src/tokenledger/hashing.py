@@ -9,10 +9,14 @@ hard error rather than something to sanitize.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 
 # Algorithms guaranteed by hashlib on every platform and sane to expose.
 ALGORITHMS = ("sha256", "sha512", "sha224", "sha384", "sha1", "sha3_256", "sha3_512")
+_DIGEST_LENGTHS = {name: hashlib.new(name).digest_size * 2 for name in ALGORITHMS}
+# Spelled out rather than \d, which also matches non-ASCII digits.
+_LOWER_HEX = re.compile("[0-9a-f]+")
 
 _SEPARATORS = (" ", "\n", "\r")
 
@@ -51,7 +55,7 @@ class HashConfig:
     @property
     def digest_length(self) -> int:
         """Length in hex characters of a digest under this config."""
-        return hashlib.new(self.algorithm).digest_size * 2
+        return _DIGEST_LENGTHS[self.algorithm]
 
     def compatible_with(self, other: "HashConfig") -> bool:
         return (
@@ -98,7 +102,7 @@ def is_digest(cfg: HashConfig, value: str) -> bool:
     """True iff value is a well-formed digest: exact length, lowercase hex."""
     if not isinstance(value, str) or len(value) != cfg.digest_length:
         return False
-    return all(c in "0123456789abcdef" for c in value)
+    return _LOWER_HEX.fullmatch(value) is not None
 
 
 def validate_digest(cfg: HashConfig, value: str, field: str) -> str:

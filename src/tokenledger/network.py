@@ -25,7 +25,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .chain import RecordFormatError, parse_record, serialize_record
+from .chain import Record, RecordFormatError, parse_record, serialize_record
 from .hashing import HashConfig, is_digest
 from .store import CONFLICT_REASONS, Ledger, PRUNED
 
@@ -419,31 +419,37 @@ class LedgerServer:
             records = self.ledger.get_chain(rest)
             return [f"REC {serialize_record(r)}" for r in records] + ["END"]
         if verb == "ADD":
-            return [self._handle_add(rest)]
+            return [self._ingest(rest)]
         if verb == "PEERS" and not rest:
             listing = [self.advertise] + self.peers.shareable()
             return [f"PEER {address}" for address in listing] + ["END"]
         return ["ERR bad-request"]
 
-    def _handle_add(self, record_line: str) -> str:
+    def _ingest(self, record_line: str) -> str:
+        """Run one record line through the gate, from a client or a peer.
+
+        Returns the ADD reply. A record the gate accepts is passed on to the
+        peers. A conflict counts as divergence only when the slot is still
+        retained here and holds other bytes: a slot below this node's
+        history window says nothing about whether the records agree.
+        """
         try:
             record = parse_record(self.cfg, record_line)
         except (RecordFormatError, ValueError):
             return "ERR bad-request"
         result = self.ledger.append(record)
         if result.status == "added":
-            self.notify_peers(serialize_record(record))
+            self.notify_peers(record_line)
             return "OK added"
         if result.status == "duplicate":
             return "OK duplicate"
         assert result.reason is not None
         if result.reason in CONFLICT_REASONS:
-            self._count_divergence()
+            local = self.ledger.get_record(record.token, record.seq)
+            if isinstance(local, Record) and local != record:
+                with self._counter_lock:
+                    self.divergence += 1
         return f"ERR {result.reason}"
-
-    def _count_divergence(self) -> None:
-        with self._counter_lock:
-            self.divergence += 1
 
     # -- propagation --------------------------------------------------------
 
@@ -475,7 +481,8 @@ class LedgerServer:
         """Pull a peer's retained chain through the local gate, in seq order.
 
         Returns how many records were newly accepted. Local records are
-        never overwritten; conflicting peer records count as divergence.
+        never overwritten; conflicting peer records count as divergence
+        under the same rule as ADD.
         """
         try:
             with WireClient(peer, timeout=self.peer_timeout) as client:
@@ -484,19 +491,7 @@ class LedgerServer:
         except (OSError, WireError):
             self.peers.mark_failure(peer)
             return 0
-        accepted = 0
-        for line in lines:
-            try:
-                record = parse_record(self.cfg, line)
-            except (RecordFormatError, ValueError):
-                continue
-            result = self.ledger.append(record)
-            if result.status == "added":
-                accepted += 1
-                self.notify_peers(line)
-            elif result.status == "rejected" and result.reason in CONFLICT_REASONS:
-                self._count_divergence()
-        return accepted
+        return sum(self._ingest(line) == "OK added" for line in lines)
 
     # -- peer maintenance ---------------------------------------------------
 

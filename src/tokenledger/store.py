@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import os
 import threading
+from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -132,6 +133,21 @@ class StoreConfig:
         return cls.from_text(Path(path).read_text(encoding="utf-8"))
 
 
+class _TokenState:
+    """One token's retained records, the first seq still in the file, and its lock."""
+
+    __slots__ = ("records", "file_floor", "lock")
+
+    def __init__(self, history_depth: int | None):
+        self.records: deque[Record] = deque(maxlen=history_depth)
+        self.file_floor = 0
+        self.lock = threading.Lock()
+
+    @property
+    def window_start(self) -> int:
+        return self.records[0].seq
+
+
 class Ledger:
     """Token chains behind a single validation gate, mirrored to a text file.
 
@@ -146,11 +162,8 @@ class Ledger:
         self.cfg = cfg
         self.path = Path(path) if path is not None else None
         self.history_depth = history_depth
-        self._chains: dict[str, list[Record]] = {}
-        self._window_start: dict[str, int] = {}
-        self._file_floor: dict[str, int] = {}
+        self._tokens: dict[str, _TokenState] = {}
         self._registry_lock = threading.Lock()
-        self._token_locks: dict[str, threading.Lock] = {}
         self._file_lock = threading.Lock()
         self._fh = None
         if self.path is not None:
@@ -195,36 +208,34 @@ class Ledger:
 
     # -- gate ------------------------------------------------------------
 
-    def _lock_for(self, token: str) -> threading.Lock:
+    def _state(self, token: str, create: bool = False) -> _TokenState | None:
         with self._registry_lock:
-            lock = self._token_locks.get(token)
-            if lock is None:
-                lock = threading.Lock()
-                self._token_locks[token] = lock
-            return lock
+            state = self._tokens.get(token)
+            if state is None and create:
+                state = self._tokens[token] = _TokenState(self.history_depth)
+            return state
 
     def _gate(self, record: Record, trusted_replay: bool = False) -> AppendResult:
-        if len(record.generators) != self.cfg.generator_count:
-            return rejected(WRONG_GENERATOR_COUNT)
-        record.validate(self.cfg)
-        token = record.token
-        with self._lock_for(token):
-            chain = self._chains.get(token)
-            if chain is None:
+        """The linking rules for an already validated record."""
+        state = self._state(record.token, create=record.seq == 0 or trusted_replay)
+        if state is None:
+            return rejected(SEQ_GAP)
+        with state.lock:
+            records = state.records
+            if not records:
                 if record.seq == 0 or trusted_replay:
                     # durable before visible: a failed write must not leave
                     # phantom in-memory state
                     self._persist(record, trusted_replay)
-                    self._chains[token] = [record]
-                    self._window_start[token] = record.seq
-                    self._file_floor.setdefault(token, record.seq)
+                    records.append(record)
+                    state.file_floor = record.seq
                     return ADDED
                 return rejected(SEQ_GAP)
-            head = chain[-1]
+            head = records[-1]
             if record.seq <= head.seq:
-                window_start = self._window_start[token]
+                window_start = state.window_start
                 if record.seq >= window_start:
-                    existing = chain[record.seq - window_start]
+                    existing = records[record.seq - window_start]
                     if serialize_record(existing) == serialize_record(record):
                         return DUPLICATE
                 if record.seq == 0:
@@ -239,11 +250,7 @@ class Ledger:
                 assert verdict.field is not None and verdict.field.startswith("G[")
                 return rejected(bad_g(int(verdict.field[2:-1])))
             self._persist(record, trusted_replay)
-            chain.append(record)
-            if self.history_depth is not None:
-                while len(chain) > self.history_depth:
-                    chain.pop(0)
-                    self._window_start[token] += 1
+            records.append(record)  # a bounded deque drops the oldest record
             return ADDED
 
     def _persist(self, record: Record, trusted_replay: bool) -> None:
@@ -257,39 +264,47 @@ class Ledger:
             os.fsync(self._fh.fileno())
 
     def append(self, record: Record) -> AppendResult:
-        """Run the publishing gate; durable before returning on acceptance."""
-        return self._gate(record, trusted_replay=False)
+        """Validate the record and run the publishing gate; durable before
+        returning on acceptance. Raises RecordFormatError for malformed fields."""
+        if len(record.generators) != self.cfg.generator_count:
+            return rejected(WRONG_GENERATOR_COUNT)
+        return self._gate(record.validate(self.cfg))
 
     # -- reads -----------------------------------------------------------
 
     def get_head(self, token: str) -> Record | None:
-        with self._lock_for(token):
-            chain = self._chains.get(token)
-            return chain[-1] if chain else None
+        state = self._state(token)
+        if state is None:
+            return None
+        with state.lock:
+            return state.records[-1] if state.records else None
 
     def get_record(self, token: str, seq: int):
         """Record, None (never existed yet), or PRUNED (discarded by retention)."""
-        with self._lock_for(token):
-            chain = self._chains.get(token)
-            if chain is None or seq < 0:
+        state = self._state(token)
+        if state is None or seq < 0:
+            return None
+        with state.lock:
+            records = state.records
+            if not records or seq > records[-1].seq:
                 return None
-            window_start = self._window_start[token]
-            if seq < window_start:
+            if seq < state.window_start:
                 return PRUNED
-            if seq > chain[-1].seq:
-                return None
-            return chain[seq - window_start]
+            return records[seq - state.window_start]
 
     def get_chain(self, token: str) -> list[Record]:
-        with self._lock_for(token):
-            return list(self._chains.get(token, ()))
+        state = self._state(token)
+        if state is None:
+            return []
+        with state.lock:
+            return list(state.records)
 
     def token_chain(self, token: str) -> TokenChain:
         return TokenChain(token=token, records=tuple(self.get_chain(token)))
 
     def tokens(self) -> list[str]:
         with self._registry_lock:
-            return list(self._chains.keys())
+            return [token for token, state in self._tokens.items() if state.records]
 
     def verify_all(self) -> dict[str, ChainReport]:
         return {token: verify_chain(self.cfg, self.token_chain(token)) for token in self.tokens()}
@@ -302,51 +317,43 @@ class Ledger:
         Returns the discarded (token, seq) pairs. The head is always
         retained (history_depth >= 1 is enforced at construction).
 
-        Lock order: every token lock in sorted-token order, then the file
-        lock — the same partial order appenders follow (one token lock,
-        then the file lock), so the two cannot deadlock.
+        Lock order: the registry lock, every token lock in sorted-token
+        order, then the file lock — the order appenders follow, so the two
+        cannot deadlock. The registry lock is held throughout so that no
+        new token's first record goes to the file being replaced.
         """
         with self._registry_lock:
-            tokens = sorted(self._chains.keys())
-            locks = []
-            for token in tokens:
-                lock = self._token_locks.get(token)
-                if lock is None:
-                    lock = threading.Lock()
-                    self._token_locks[token] = lock
-                locks.append(lock)
-        for lock in locks:
-            lock.acquire()
-        try:
-            discarded = [
-                (token, seq)
-                for token in tokens
-                for seq in range(
-                    self._file_floor.get(token, self._window_start[token]),
-                    self._window_start[token],
-                )
-            ]
-            if not discarded:
-                return []
-            if self.path is not None:
-                with self._file_lock:
-                    tmp = self.path.with_suffix(self.path.suffix + ".compact")
-                    with open(tmp, "w", encoding="utf-8") as fh:
-                        for token in tokens:
-                            for record in self._chains[token]:
-                                fh.write(serialize_record(record) + "\n")
-                        fh.flush()
-                        os.fsync(fh.fileno())
-                    if self._fh is not None:
-                        self._fh.close()
-                    os.replace(tmp, self.path)
-                    self._fh = open(self.path, "a", encoding="utf-8")
-            for token in tokens:
-                self._file_floor[token] = self._window_start[token]
-            return discarded
-        finally:
-            for lock in reversed(locks):
-                lock.release()
+            states = sorted(self._tokens.items())
+            for _token, state in states:
+                state.lock.acquire()
+            try:
+                retained = [(token, state) for token, state in states if state.records]
+                discarded = [
+                    (token, seq)
+                    for token, state in retained
+                    for seq in range(state.file_floor, state.window_start)
+                ]
+                if not discarded:
+                    return []
+                if self.path is not None:
+                    with self._file_lock:
+                        tmp = self.path.with_suffix(self.path.suffix + ".compact")
+                        with open(tmp, "w", encoding="utf-8") as fh:
+                            for _token, state in retained:
+                                for record in state.records:
+                                    fh.write(serialize_record(record) + "\n")
+                            fh.flush()
+                            os.fsync(fh.fileno())
+                        if self._fh is not None:
+                            self._fh.close()
+                        os.replace(tmp, self.path)
+                        self._fh = open(self.path, "a", encoding="utf-8")
+                for _token, state in retained:
+                    state.file_floor = state.window_start
+                return discarded
+            finally:
+                for _token, state in reversed(states):
+                    state.lock.release()
 
     # -- lifecycle -------------------------------------------------------
 
@@ -368,7 +375,3 @@ class Ledger:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-def load(path: str | Path, cfg: HashConfig, history_depth: int | None = None) -> Ledger:
-    """Open (or create) a ledger at path, replaying the file through the gate."""
-    return Ledger(cfg, path, history_depth)

@@ -102,6 +102,10 @@ class KeyMaterial:
         m = self.cfg.generator_count
         return [self.key(head_seq + 1 + i) for i in range(m + 1)]
 
+    def commitment(self, seq: int, slot: int) -> str:
+        """Slot `slot` of record seq (the owner field at m+1), built from our own key."""
+        return commitment_tower(self.cfg, self.token, seq + slot, slot, self.key(seq + slot))
+
     def __repr__(self) -> str:  # never leak the passphrase
         return f"KeyMaterial(token={self.token[:12]}...)"
 
@@ -312,8 +316,7 @@ def recipient_offer(
     anchors the half record's owner commitment at it.
     """
     m = cfg.generator_count
-    fresh = base_seq + m + 2
-    owner_value = commitment_tower(cfg, token, fresh, m + 1, km.key(fresh))
+    owner_value = km.commitment(base_seq + 1, m + 1)
     session = TransferSession(
         role="recipient",
         token=token,
@@ -385,12 +388,8 @@ def recipient_counter(
         session.abort()
         raise
     seq = session.base_seq + step
-    gen_values = tuple(
-        commitment_tower(cfg, session.token, seq + slot, slot, km.key(seq + slot))
-        for slot in _message_slots(m, step)
-    )
-    fresh = seq + m + 1
-    owner_value = commitment_tower(cfg, session.token, fresh, m + 1, km.key(fresh))
+    gen_values = tuple(km.commitment(seq, slot) for slot in _message_slots(m, step))
+    owner_value = km.commitment(seq, m + 1)
     session.sent_values[step] = (*gen_values, owner_value)
     session.advance_phase("counter-sent" if step == m + 1 else "half-published")
     return CounterMessage(
@@ -452,10 +451,7 @@ def sender_publish_half(
     m = cfg.generator_count
     base = head.seq
     seq = base + 1
-    gens = tuple(
-        commitment_tower(cfg, chain.token, seq + j, j, km.key(seq + j))
-        for j in range(1, m + 1)
-    )
+    gens = tuple(km.commitment(seq, j) for j in range(1, m + 1))
     record = Record(
         seq=seq,
         token=chain.token,
@@ -514,12 +510,7 @@ def sender_publish_next(
         )
     seq = session.base_seq + step
     by_slot = dict(zip(supplied, counter.generator_commitments))
-    gens = []
-    for j in range(1, m + 1):
-        if j in by_slot:
-            gens.append(by_slot[j])
-        else:
-            gens.append(commitment_tower(cfg, session.token, seq + j, j, km.key(seq + j)))
+    gens = [by_slot[j] if j in by_slot else km.commitment(seq, j) for j in range(1, m + 1)]
     record = Record(
         seq=seq,
         token=session.token,

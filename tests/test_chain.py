@@ -85,6 +85,34 @@ def test_cascade_near_genesis_truncates():
         key_cascade(cfg, S, 0, key)
 
 
+@pytest.mark.parametrize("m, hashes", [(0, 1), (1, 3), (2, 6), (3, 10)])
+def test_fields_from_keys_hashes_each_tower_level_once(m, hashes, monkeypatch):
+    from tokenledger import chain
+
+    cfg = HashConfig(generator_count=m)
+    keys = [rand_digest(random.Random(m)) for _ in range(m + 1)]
+    want = fields_from_keys(cfg, S, 10, keys)
+    calls = []
+    counted = chain.canonical_hash
+    monkeypatch.setattr(chain, "canonical_hash", lambda *a: calls.append(a) or counted(*a))
+    assert fields_from_keys(cfg, S, 10, keys) == want
+    assert len(calls) == hashes
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_parse_record_checks_each_digest_once(m, monkeypatch):
+    from tokenledger import chain, hashing
+
+    cfg = HashConfig(generator_count=m)
+    line = serialize_record(build_records(cfg, S, "pw", 1)[0])
+    calls = []
+    counted = hashing.is_digest
+    for module in (chain, hashing):
+        monkeypatch.setattr(module, "is_digest", lambda *a: calls.append(a) or counted(*a))
+    parse_record(cfg, line)
+    assert len(calls) == m + 3
+
+
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_expected_fields_round_trips_construction(m):
     """expected_fields reproduces fields built constructively from keys."""

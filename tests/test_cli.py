@@ -7,7 +7,7 @@ import time
 import pytest
 
 from conftest import build_records, make_token, wait_until
-from tokenledger import WireClient, parse_record
+from tokenledger import WireClient, parse_record, serialize_record
 from tokenledger.cli import main
 
 ALICE = "alice-cli-pw"
@@ -103,6 +103,21 @@ def test_verify_flipped_digit_names_the_record(capsys, cfg, tmp_path):
     db.write_text("\n".join(lines) + "\n")
     code, out, _ = run(capsys, "verify", "--db", str(db))
     assert code == 1 and "line 3" in out
+
+
+def test_verify_says_when_genesis_is_not_retained(capsys, cfg, tmp_path):
+    token = make_token("v3")
+    records = build_records(cfg, token, "pw", 8)
+    db = tmp_path / "window.db"
+    db.write_text("".join(serialize_record(r) + "\n" for r in records[5:]))
+    code, out, _ = run(capsys, "verify", "--db", str(db))
+    assert code == 0 and "1 tokens" in out
+    assert f"ok {token} (3 records from seq 5, genesis not retained)" in out
+
+    full = tmp_path / "full.db"
+    full.write_text("".join(serialize_record(r) + "\n" for r in records))
+    code, out, _ = run(capsys, "verify", "--db", str(full))
+    assert code == 0 and f"ok {token} (8 records from seq 0)" in out
 
 
 def test_verify_empty_db(capsys, cfg, tmp_path):

@@ -89,6 +89,7 @@ def test_is_digest(cfg):
     assert not is_digest(cfg, S.upper())
     assert not is_digest(cfg, S[:-1])
     assert not is_digest(cfg, S[:-1] + "g")
+    assert not is_digest(cfg, "\u0661" + S[1:])  # ARABIC-INDIC DIGIT ONE
     with pytest.raises(ValueError):
         validate_digest(cfg, "zz", "field")
 

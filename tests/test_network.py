@@ -161,6 +161,20 @@ def test_sync_conflict_detected_not_overwritten(cfg, server_factory):
     assert verify_chain(cfg, as_chain(S, ours.ledger.get_chain(S))).ok
 
 
+def test_sync_below_history_window_is_not_divergence(cfg, server_factory):
+    full = server_factory(name="full")
+    shallow = server_factory(name="shallow", history_depth=4)
+    records = build_records(cfg, S, "pw", 20)
+    push_chain(full, records)
+    push_chain(shallow, records)
+    assert shallow.sync_token(S, full.address) == 0
+    assert shallow.divergence == 0
+    with WireClient(shallow.address) as client:  # the wire reply is unchanged
+        assert client.add(serialize_record(records[3])) == "ERR seq-occupied"
+        assert client.add(serialize_record(records[0])) == "ERR genesis-exists"
+    assert shallow.divergence == 0
+
+
 def test_sync_unreachable_peer_marks_suspect(cfg, server_factory):
     lonely = server_factory(name="lonely")
     silent = "127.0.0.1:1"

@@ -1,3 +1,4 @@
+import os
 import random
 import threading
 
@@ -297,6 +298,35 @@ def test_concurrent_appends_different_tokens(cfg, db):
     with Ledger(cfg, db) as reloaded:
         for token, report in reloaded.verify_all().items():
             assert report.ok
+
+
+def test_compact_keeps_a_genesis_written_during_it(cfg, db, monkeypatch):
+    """A new token's first record, mid-write when compact() starts, survives the rewrite."""
+    newcomer = build_records(cfg, make_token("newcomer"), "pw", 1)[0]
+    in_fsync, release = threading.Event(), threading.Event()
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if threading.current_thread().name == "newcomer":
+            in_fsync.set()
+            release.wait(timeout=10)
+        real_fsync(fd)
+
+    with Ledger(cfg, db, history_depth=1) as ledger:
+        fill(ledger, cfg, S, "pw", 3)
+        monkeypatch.setattr(os, "fsync", fsync)
+        appender = threading.Thread(target=ledger.append, args=(newcomer,), name="newcomer")
+        compactor = threading.Thread(target=ledger.compact)
+        appender.start()
+        assert in_fsync.wait(timeout=10)
+        compactor.start()
+        compactor.join(timeout=0.2)  # time for compact() to reach the locks it waits on
+        release.set()
+        appender.join(timeout=10)
+        compactor.join(timeout=10)
+        assert not appender.is_alive() and not compactor.is_alive()
+    with Ledger(cfg, db) as reloaded:
+        assert reloaded.get_head(newcomer.token) == newcomer
 
 
 def test_concurrent_conflicts_one_winner(cfg, db):

@@ -109,6 +109,7 @@ class _SessionFile:
     def __init__(self, state_dir: str, role: str, token: str):
         self.dir = Path(state_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
+        self.role = role
         self.path = self.dir / f"{role}-{token}.session"
         self.lock_path = self.path.with_suffix(".session.lock")
         self._lock_fd: int | None = None
@@ -132,13 +133,26 @@ class _SessionFile:
     def load(self) -> wallet.TransferSession:
         if not self.path.exists():
             raise CliError(f"no session at {self.path}", E_USAGE)
-        return wallet.TransferSession.from_text(self.path.read_text(encoding="utf-8"))
+        try:
+            return wallet.TransferSession.from_text(self.path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise CliError(f"unreadable session at {self.path}: {exc}", E_USAGE)
 
     def save(self, session: wallet.TransferSession) -> None:
-        self.path.write_text(session.to_text(), encoding="utf-8")
+        """Replace the session file atomically: a crash leaves the old or the new."""
+        tmp = self.path.with_suffix(".session.tmp")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(session.to_text())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, self.path)
 
-    def exists(self) -> bool:
-        return self.path.exists()
+    def refuse_if_in_progress(self) -> None:
+        """Starting a new session must not overwrite an unfinished one."""
+        if self.path.exists() and self.load().phase not in ("complete", "aborted"):
+            raise CliError(
+                f"a {self.role} session for this token is already in progress", E_USAGE
+            )
 
 
 # -- subcommands -----------------------------------------------------------
@@ -208,13 +222,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 results[token] = (report, ledger.get_chain(token))
     failures = 0
     for token, (report, records) in sorted(results.items()):
-        if report.ok:
+        if not records:  # a held token always keeps its head
+            failures += 1
+            print(f"FAIL {token} not-found")
+        elif report.ok:
             # what was proved: the retained window links, from its first seq
-            window = f"{len(records)} records"
-            if records:
-                window += f" from seq {records[0].seq}"
-                if records[0].seq > 0:
-                    window += ", genesis not retained"
+            window = f"{len(records)} records from seq {records[0].seq}"
+            if records[0].seq > 0:
+                window += ", genesis not retained"
             print(f"ok {token} ({window})")
         else:
             failures += 1
@@ -294,12 +309,7 @@ def cmd_transfer_offer(args: argparse.Namespace) -> int:
         raise CliError("token unknown to this server", E_FAIL)
     head = parse_record(cfg, head_line)
     with _SessionFile(args.state_dir, "recipient", args.token) as sf:
-        if sf.exists():
-            existing = sf.load()
-            if existing.phase not in ("complete", "aborted"):
-                raise CliError(
-                    "a recipient session for this token is already in progress", E_USAGE
-                )
+        sf.refuse_if_in_progress()
         offer, session = wallet.recipient_offer(cfg, args.token, head.seq, km)
         sf.save(session)
     print(offer.to_line())
@@ -313,11 +323,8 @@ def cmd_transfer_counter(args: argparse.Namespace) -> int:
         session = sf.load()
         with _connect(args.host) as client:
             token_chain = _fetch_chain(client, cfg, args.token)
-        if session.phase == "complete":
-            print("transfer complete")
-            return E_OK
         try:
-            if max(session.sent_values) >= session.total_steps:
+            if session.awaiting_final:
                 done = wallet.recipient_finish(cfg, token_chain, km, session)
                 sf.save(session)
                 if done:
@@ -331,6 +338,8 @@ def cmd_transfer_counter(args: argparse.Namespace) -> int:
         except wallet.TransferAborted as exc:
             sf.save(session)
             raise CliError(f"aborted: {exc}", E_FAIL)
+        except wallet.TransferError as exc:
+            raise CliError(str(exc), E_FAIL)
         sf.save(session)
     print(message.to_line())
     return E_OK
@@ -338,11 +347,10 @@ def cmd_transfer_counter(args: argparse.Namespace) -> int:
 
 def cmd_transfer_finish(args: argparse.Namespace) -> int:
     cfg = _effective_config(args).hash_config()
-    message_line = args.message or args.msg1
-    if not message_line:
-        raise CliError("need --message (or --msg1) with the received line", E_USAGE)
+    if not args.message:
+        raise CliError("need --message with the received line", E_USAGE)
     try:
-        message = wallet.parse_transfer_message(cfg, message_line)
+        message = wallet.parse_transfer_message(cfg, args.message)
     except (wallet.TransferProtocolError, ValueError) as exc:
         raise CliError(f"bad message: {exc}", E_USAGE)
     km = wallet.KeyMaterial(cfg, args.token, _passphrase())
@@ -350,13 +358,7 @@ def cmd_transfer_finish(args: argparse.Namespace) -> int:
         with _connect(args.host) as client:
             token_chain = _fetch_chain(client, cfg, args.token)
             if isinstance(message, wallet.OfferMessage):
-                if sf.exists():
-                    existing = sf.load()
-                    if existing.phase not in ("complete", "aborted"):
-                        raise CliError(
-                            "a sender session for this token is already in progress",
-                            E_USAGE,
-                        )
+                sf.refuse_if_in_progress()
                 try:
                     record, session = wallet.sender_publish_half(cfg, token_chain, km, message)
                 except wallet.TransferError as exc:
@@ -453,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     t_finish.add_argument("--token", required=True)
     t_finish.add_argument("--state-dir", dest="state_dir", default=_default_state_dir())
     t_finish.add_argument("--message", help="received OFFER or COUNTER line")
-    t_finish.add_argument("--msg1", help="alias for --message")
     t_finish.add_argument("--data", help="data text for the published record")
     t_finish.set_defaults(func=cmd_transfer_finish)
 

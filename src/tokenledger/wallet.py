@@ -137,14 +137,26 @@ def self_extend(cfg: HashConfig, chain: TokenChain, km: KeyMaterial, data: str |
     if not owns(cfg, chain, km):
         raise OwnershipError("key material does not own this chain")
     head = chain.head
-    assert head is not None
     seq = head.seq + 1
     gens, owner = fields_from_keys(cfg, chain.token, seq, km.window(seq))
+    return _extend(cfg, head, km, gens, owner, data, "self-extension")
+
+
+def _extend(
+    cfg: HashConfig, head: Record, km: KeyMaterial, gens: tuple[str, ...], owner: str,
+    data: str | None, what: str,
+) -> Record:
+    """The one builder of a non-genesis record: reveals key head.seq + 1.
+
+    Raises naming the record as `what` when it does not link to head.
+    """
+    seq = head.seq + 1
     record = Record(
-        seq=seq, token=chain.token, key=km.key(seq), generators=gens, owner=owner, data=data
+        seq=seq, token=km.token, key=km.key(seq), generators=gens, owner=owner, data=data
     ).validate(cfg)
     verdict = verify_link(cfg, head, record)
-    assert verdict.ok, f"self-extension failed its own link check: {verdict.field}"
+    if not verdict.ok:
+        raise TransferProtocolError(f"{what} fails the link check at {verdict.field}")
     return record
 
 
@@ -224,6 +236,8 @@ class TransferSession:
     def __post_init__(self) -> None:
         if self.role not in ("sender", "recipient"):
             raise ValueError(f"bad role: {self.role!r}")
+        if self.phase not in PHASES:
+            raise ValueError(f"bad phase: {self.phase!r}")
         if self.published_through < 0:
             self.published_through = self.base_seq
 
@@ -234,6 +248,11 @@ class TransferSession:
     @property
     def final_seq(self) -> int:
         return self.base_seq + self.total_steps
+
+    @property
+    def awaiting_final(self) -> bool:
+        """Recipient: every step's values are sent; only the final record is left."""
+        return max(self.sent_values, default=0) >= self.total_steps
 
     @property
     def next_record_step(self) -> int:
@@ -290,14 +309,17 @@ class TransferSession:
                 sent[int(key[5:])] = tuple(value.split(","))
             else:
                 fields[key] = value
-        session = cls(
-            role=fields["role"],
-            token=fields["token"],
-            base_seq=int(fields["base_seq"]),
-            generator_count=int(fields["generators"]),
-            phase=fields["phase"],
-            published_through=int(fields["published_through"]),
-        )
+        try:
+            session = cls(
+                role=fields["role"],
+                token=fields["token"],
+                base_seq=int(fields["base_seq"]),
+                generator_count=int(fields["generators"]),
+                phase=fields["phase"],
+                published_through=int(fields["published_through"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"session text lacks {exc.args[0]!r}") from None
         session.sent_values = sent
         return session
 
@@ -305,6 +327,21 @@ class TransferSession:
 def _message_slots(m: int, step: int) -> range:
     """Generator slots of transfer record `step` the recipient must supply."""
     return range(m + 2 - step, m + 1)
+
+
+def _recipient_step(
+    km: KeyMaterial, session: TransferSession, step: int
+) -> tuple[tuple[str, ...], str]:
+    """Step `step`'s generator and owner values, recorded in session.sent_values.
+
+    Step 1 is the offer, which carries no generator values.
+    """
+    m = session.generator_count
+    seq = session.base_seq + step
+    gen_values = tuple(km.commitment(seq, slot) for slot in _message_slots(m, step))
+    owner_value = km.commitment(seq, m + 1)
+    session.sent_values[step] = (*gen_values, owner_value)
+    return gen_values, owner_value
 
 
 def recipient_offer(
@@ -315,16 +352,14 @@ def recipient_offer(
     Derives the first fresh key (absolute index base_seq + m + 2) and
     anchors the half record's owner commitment at it.
     """
-    m = cfg.generator_count
-    owner_value = km.commitment(base_seq + 1, m + 1)
     session = TransferSession(
         role="recipient",
         token=token,
         base_seq=base_seq,
-        generator_count=m,
+        generator_count=cfg.generator_count,
         phase="offered",
     )
-    session.sent_values[1] = (owner_value,)
+    _, owner_value = _recipient_step(km, session, 1)
     return OfferMessage(token=token, owner_commitment=owner_value), session
 
 
@@ -337,17 +372,15 @@ def _check_published_step(
     wanted = session.sent_values.get(step)
     if wanted is None:
         raise TransferProtocolError(f"no values were sent for step {step}")
-    record = None
-    for rec in chain.records:
-        if rec.seq == seq:
-            record = rec
-            break
-    if record is None:
+    records = chain.records
+    i = seq - records[0].seq if records else -1
+    if not 0 <= i < len(records) or records[i].seq != seq:
         # absent is retryable (propagation lag); only a wrong record at the
         # expected seq is evidence that the handshake went off the rails
         raise TransferPending(
             f"transfer record at seq {seq} not on chain yet (step {step})"
         )
+    record = records[i]
     *gen_values, owner_value = wanted
     if record.owner != owner_value:
         raise TransferAborted(
@@ -376,22 +409,18 @@ def recipient_counter(
         raise PhaseError("counter messages are produced by the recipient session")
     if session.phase in ("complete", "aborted"):
         raise PhaseError(f"session is {session.phase}")
-    m = session.generator_count
-    step = max(session.sent_values) + 1
-    if step > m + 1:
+    if session.awaiting_final:
         raise PhaseError("all counter messages for this transfer were already sent")
     if chain.token != session.token:
         raise TransferProtocolError("chain is for a different token")
+    step = max(session.sent_values) + 1
     try:
         _check_published_step(cfg, chain, session, step - 1)
     except TransferAborted:
         session.abort()
         raise
-    seq = session.base_seq + step
-    gen_values = tuple(km.commitment(seq, slot) for slot in _message_slots(m, step))
-    owner_value = km.commitment(seq, m + 1)
-    session.sent_values[step] = (*gen_values, owner_value)
-    session.advance_phase("counter-sent" if step == m + 1 else "half-published")
+    gen_values, owner_value = _recipient_step(km, session, step)
+    session.advance_phase("counter-sent" if session.awaiting_final else "half-published")
     return CounterMessage(
         token=session.token,
         generator_commitments=gen_values,
@@ -412,13 +441,10 @@ def recipient_finish(
         return True
     if session.phase == "aborted":
         raise PhaseError("session is aborted")
-    final_step = session.total_steps
-    if max(session.sent_values) < final_step:
+    if not session.awaiting_final:
         raise PhaseError("counter messages are still outstanding")
-    if chain.head is None or chain.head.seq < session.final_seq:
-        return False
     try:
-        _check_published_step(cfg, chain, session, final_step)
+        _check_published_step(cfg, chain, session, session.total_steps)
     except TransferPending:
         return False
     except TransferAborted:
@@ -447,26 +473,14 @@ def sender_publish_half(
     if not owns(cfg, chain, km):
         raise OwnershipError("sender's key material does not own this chain")
     head = chain.head
-    assert head is not None
-    m = cfg.generator_count
-    base = head.seq
-    seq = base + 1
-    gens = tuple(km.commitment(seq, j) for j in range(1, m + 1))
-    record = Record(
-        seq=seq,
-        token=chain.token,
-        key=km.key(seq),
-        generators=gens,
-        owner=offer.owner_commitment,
-    ).validate(cfg)
-    verdict = verify_link(cfg, head, record)
-    if not verdict.ok:
-        raise TransferProtocolError(f"half record fails the link check at {verdict.field}")
+    # step 1: the offer supplies no generator slot, so all are our own
+    gens = tuple(km.commitment(head.seq + 1, j) for j in range(1, cfg.generator_count + 1))
+    record = _extend(cfg, head, km, gens, offer.owner_commitment, None, "half record")
     session = TransferSession(
         role="sender",
         token=chain.token,
-        base_seq=base,
-        generator_count=m,
+        base_seq=head.seq,
+        generator_count=cfg.generator_count,
         phase="offered",
     )
     return record, session
@@ -504,26 +518,14 @@ def sender_publish_next(
             f"values, got {len(counter.generator_commitments)}"
         )
     head = chain.head
-    if head is None or head.seq != session.base_seq + step - 1:
-        raise TransferProtocolError(
-            f"chain head out of step: expected seq {session.base_seq + step - 1}"
-        )
     seq = session.base_seq + step
+    if head is None or head.seq != seq - 1:
+        raise TransferProtocolError(f"chain head out of step: expected seq {seq - 1}")
     by_slot = dict(zip(supplied, counter.generator_commitments))
-    gens = [by_slot[j] if j in by_slot else km.commitment(seq, j) for j in range(1, m + 1)]
-    record = Record(
-        seq=seq,
-        token=session.token,
-        key=km.key(seq),
-        generators=tuple(gens),
-        owner=counter.owner_commitment,
-        data=data,
-    ).validate(cfg)
-    verdict = verify_link(cfg, head, record)
-    if not verdict.ok:
-        raise TransferProtocolError(
-            f"malformed counter message: record fails the link check at {verdict.field}"
-        )
+    gens = tuple(by_slot[j] if j in by_slot else km.commitment(seq, j) for j in range(1, m + 1))
+    record = _extend(
+        cfg, head, km, gens, counter.owner_commitment, data, "malformed counter message: record"
+    )
     if step == m + 1:
         session.advance_phase("counter-sent")
     return record

@@ -139,6 +139,20 @@ def test_verify_over_the_wire(capsys, server, as_alice, tmp_path):
     assert code == 2
 
 
+def test_verify_over_the_wire_names_a_missing_token(capsys, server, as_alice, tmp_path):
+    payload = tmp_path / "held.bin"
+    payload.write_bytes(b"held")
+    token = make_cli_token(capsys, server.address, payload)
+    missing = make_token("never created")
+    code, out, _ = run(
+        capsys, "verify", "--host", server.address, "--token", token, "--token", missing
+    )
+    assert code == 1
+    assert f"ok {token} (1 records from seq 0)" in out
+    assert f"FAIL {missing} not-found" in out
+    assert "2 tokens" in out
+
+
 # -- publish (data field) -------------------------------------------------------
 
 
@@ -305,6 +319,50 @@ def test_finish_with_tampered_counter_keeps_session(capsys, server, tmp_path, mo
     assert code == 0 and "transfer complete" in out
 
 
+def test_counter_on_aborted_session_reports_it(capsys, server, tmp_path, monkeypatch):
+    payload = tmp_path / "abort.bin"
+    payload.write_bytes(b"abort")
+    monkeypatch.setenv("TOKENLEDGER_PASSPHRASE", ALICE)
+    token = make_cli_token(capsys, server.address, payload)
+    r_dir = str(tmp_path / "rb")
+    monkeypatch.setenv("TOKENLEDGER_PASSPHRASE", BOB)
+    code, _, _ = run(
+        capsys, "transfer", "offer", "--host", server.address, "--token", token,
+        "--state-dir", r_dir,
+    )
+    assert code == 0
+    # the owner fills the offered slot with a record of their own instead
+    monkeypatch.setenv("TOKENLEDGER_PASSPHRASE", ALICE)
+    code, _, _ = run(
+        capsys, "publish", "--host", server.address, "--token", token, "--text", "mine"
+    )
+    assert code == 0
+    monkeypatch.setenv("TOKENLEDGER_PASSPHRASE", BOB)
+    counter = ("transfer", "counter", "--host", server.address, "--token", token,
+               "--state-dir", r_dir)
+    code, _, err = run(capsys, *counter)
+    assert code == 1 and "aborted: " in err and "owner commitment mismatch" in err
+    code, _, err = run(capsys, *counter)
+    assert code == 1 and err == "error: session is aborted\n"
+
+
+@pytest.mark.parametrize("text", [
+    "role=sender\ntok",  # torn mid-write
+    "role=sender\ntoken={t}\nbase_seq=0\ngenerators=1\nphase=bogus\npublished_through=1\n",
+])
+def test_unreadable_session_file_names_its_path(capsys, server, as_alice, tmp_path, text):
+    token = make_token("torn session")
+    state = tmp_path / "torn-state"
+    state.mkdir()
+    session_path = state / f"sender-{token}.session"
+    session_path.write_text(text.format(t=token))
+    code, _, err = run(
+        capsys, "transfer", "finish", "--host", server.address, "--token", token,
+        "--state-dir", str(state), "--message", f"COUNTER {token} {token} {token}",
+    )
+    assert code == 2 and f"unreadable session at {session_path}" in err
+
+
 def test_session_lock_rejects_concurrent_invocation(capsys, server, as_alice, tmp_path):
     payload = tmp_path / "lock.bin"
     payload.write_bytes(b"lock")
@@ -416,15 +474,15 @@ def test_config_file_with_flag_overrides(capsys, tmp_path, server_factory):
         del os.environ["TOKENLEDGER_PASSPHRASE"]
 
 
-def test_transfer_multi_generator_over_cli(capsys, tmp_path, server_factory, monkeypatch):
-    """m=2: the half record, one middle counter round, then the final."""
+def _transfer_over_cli(capsys, tmp_path, server_factory, monkeypatch, m):
+    """One token created and handed over at m generators; m + 1 published records."""
     from tokenledger import HashConfig
 
-    cfg = HashConfig(generator_count=2)
-    server = server_factory(name="m2", cfg=cfg)
-    gen_args = ["--generators", "2"]
-    payload = tmp_path / "m2.bin"
-    payload.write_bytes(b"two generators")
+    cfg = HashConfig(generator_count=m)
+    server = server_factory(name=f"m{m}", cfg=cfg)
+    gen_args = ["--generators", str(m)]
+    payload = tmp_path / f"m{m}.bin"
+    payload.write_bytes(f"{m} generators".encode())
 
     monkeypatch.setenv("TOKENLEDGER_PASSPHRASE", ALICE)
     code, out, _ = run(
@@ -441,7 +499,7 @@ def test_transfer_multi_generator_over_cli(capsys, tmp_path, server_factory, mon
     )
     assert code == 0
     message = out.strip().splitlines()[-1]
-    for round_no in range(3):  # half + middle + final publishes
+    for round_no in range(m + 1):  # half, middle and final publishes
         monkeypatch.setenv("TOKENLEDGER_PASSPHRASE", ALICE)
         code, out, _ = run(
             capsys, "transfer", "finish", "--host", server.address, "--token", token,
@@ -462,6 +520,16 @@ def test_transfer_multi_generator_over_cli(capsys, tmp_path, server_factory, mon
         "--check-ownership", *gen_args,
     )
     assert code == 0 and out.strip().endswith("owned")
+
+
+def test_transfer_multi_generator_over_cli(capsys, tmp_path, server_factory, monkeypatch):
+    """m=2: the half record, one middle counter round, then the final."""
+    _transfer_over_cli(capsys, tmp_path, server_factory, monkeypatch, 2)
+
+
+def test_transfer_without_generators_over_cli(capsys, tmp_path, server_factory, monkeypatch):
+    """m=0: the offer is the recipient's only message; the half record is final."""
+    _transfer_over_cli(capsys, tmp_path, server_factory, monkeypatch, 0)
 
 
 # -- serve lifecycle ----------------------------------------------------------------

@@ -25,7 +25,7 @@ from . import wallet
 from .chain import RecordFormatError, TokenChain, parse_record, serialize_record, verify_chain
 from .hashing import EncodingError
 from .network import LedgerServer, WireClient, WireError
-from .store import Ledger, LoadError, StoreConfig
+from .store import Ledger, LoadError, StoreConfig, replace_durably
 
 PASSPHRASE_ENV = "TOKENLEDGER_PASSPHRASE"
 
@@ -145,7 +145,7 @@ class _SessionFile:
             fh.write(session.to_text())
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        replace_durably(tmp, self.path)
 
     def refuse_if_in_progress(self) -> None:
         """Starting a new session must not overwrite an unfinished one."""
@@ -442,11 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     t_counter.add_argument("--host", required=True)
     t_counter.add_argument("--token", required=True)
     t_counter.add_argument("--state-dir", dest="state_dir", default=_default_state_dir())
-    t_counter.add_argument(
-        "--after-half",
-        action="store_true",
-        help="explicit marker that the previous record should be on-chain (default behavior)",
-    )
     t_counter.set_defaults(func=cmd_transfer_counter)
 
     t_finish = t_sub.add_parser("finish", help="sender: publish from a received message")

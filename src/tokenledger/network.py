@@ -13,9 +13,15 @@ Wire protocol (UTF-8 lines, <= 64 KiB):
     GETCHAIN <S>        -> zero or more REC <record-line> lines, then END
     ADD <record-line>   -> OK added | OK duplicate | ERR <gate reason>
     PEERS               -> zero or more PEER <address> lines, then END
+
+A response block goes out in one write. Written line by line, a multi-line
+block meets Nagle's algorithm combined with the client's delayed ACK
+(RFC 896; RFC 1122 4.2.3.2): the rest of the block waits for the ACK of its
+first line, which the client delays by about 40 ms on Linux loopback.
 """
 from __future__ import annotations
 
+import contextlib
 import logging
 import queue
 import random
@@ -245,9 +251,7 @@ class _Notifier:
                     pass
 
     def stop(self) -> None:
-        self.enqueue_sentinel()
-
-    def enqueue_sentinel(self) -> None:
+        """Queue the sentinel that ends the thread, dropping the oldest if full."""
         try:
             self.queue.put_nowait(None)
         except queue.Full:
@@ -289,13 +293,13 @@ class _Handler(socketserver.StreamRequestHandler):
             except UnicodeDecodeError:
                 self._send("ERR bad-request")
                 continue
-            for response in server.handle_line(line):
-                if not self._send(response):
-                    return
+            if not self._send("\n".join(server.handle_line(line))):
+                return
 
-    def _send(self, line: str) -> bool:
+    def _send(self, text: str) -> bool:
+        """Write one response block, newline-terminated, in a single write."""
         try:
-            self.wfile.write(line.encode("utf-8") + b"\n")
+            self.wfile.write(text.encode("utf-8") + b"\n")
             return True
         except OSError:
             return False
@@ -367,6 +371,10 @@ class LedgerServer:
 
     def shutdown(self) -> None:
         self._stop.set()
+        # serve_forever polls its shutdown flag only every 0.5 s; a shut-down
+        # listening socket is readable at once, so its select wakes now
+        with contextlib.suppress(OSError):
+            self._tcp.socket.shutdown(socket.SHUT_RDWR)
         self._tcp.shutdown()
         self._tcp.server_close()
         with self._notifier_lock:

@@ -133,6 +133,16 @@ class StoreConfig:
         return cls.from_text(Path(path).read_text(encoding="utf-8"))
 
 
+def replace_durably(src: Path, dst: Path) -> None:
+    """os.replace, then fsync the directory so the rename survives power loss."""
+    os.replace(src, dst)
+    fd = os.open(dst.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class _TokenState:
     """One token's retained records, the first seq still in the file, and its lock."""
 
@@ -346,7 +356,7 @@ class Ledger:
                             os.fsync(fh.fileno())
                         if self._fh is not None:
                             self._fh.close()
-                        os.replace(tmp, self.path)
+                        replace_durably(tmp, self.path)
                         self._fh = open(self.path, "a", encoding="utf-8")
                 for _token, state in retained:
                     state.file_floor = state.window_start

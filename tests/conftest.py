@@ -1,4 +1,6 @@
 import hashlib
+import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -67,3 +69,30 @@ def wait_until(predicate, timeout=5.0, interval=0.01):
             return True
         time.sleep(interval)
     return predicate()
+
+
+@pytest.fixture
+def rename_log(monkeypatch):
+    """os.replace targets and fsynced directories (by inode), in call order."""
+    events = []
+    replace, fsync = os.replace, os.fsync
+
+    def spy_replace(src, dst):
+        replace(src, dst)
+        events.append(("replace", Path(dst)))
+
+    def spy_fsync(fd):
+        st = os.fstat(fd)
+        if stat.S_ISDIR(st.st_mode):
+            events.append(("fsync-dir", st.st_ino))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "replace", spy_replace)
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    return events
+
+
+def dir_synced_after_replace(events, path: Path) -> bool:
+    """The directory holding path was fsynced after path was last replaced."""
+    last = max(i for i, event in enumerate(events) if event == ("replace", path))
+    return ("fsync-dir", path.parent.stat().st_ino) in events[last + 1 :]

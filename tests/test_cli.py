@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from conftest import build_records, make_token, wait_until
+from conftest import build_records, dir_synced_after_replace, make_token, wait_until
 from tokenledger import WireClient, parse_record, serialize_record
 from tokenledger.cli import main
 
@@ -219,7 +219,7 @@ def transfer_via_cli(capsys, server, token, tmp_path, sender_pw, recipient_pw, m
     monkeypatch.setenv("TOKENLEDGER_PASSPHRASE", recipient_pw)
     code, out, _ = run(
         capsys, "transfer", "counter", "--host", server.address, "--token", token,
-        "--state-dir", str(recipient_dir), "--after-half",
+        "--state-dir", str(recipient_dir),
     )
     assert code == 0
     counter_line = out.strip().splitlines()[-1]
@@ -270,7 +270,7 @@ def test_counter_before_half_visible(capsys, server, as_alice, tmp_path, monkeyp
     assert code == 0
     code, _, err = run(
         capsys, "transfer", "counter", "--host", server.address, "--token", token,
-        "--state-dir", str(tmp_path / "rb"), "--after-half",
+        "--state-dir", str(tmp_path / "rb"),
     )
     assert code == 1 and "not on chain yet" in err
 
@@ -375,6 +375,21 @@ def test_session_lock_rejects_concurrent_invocation(capsys, server, as_alice, tm
         "--state-dir", str(state),
     )
     assert code == 2 and "another invocation" in err
+
+
+def test_session_save_fsyncs_the_directory_after_the_rename(
+    capsys, server, as_alice, tmp_path, rename_log
+):
+    payload = tmp_path / "durable.bin"
+    payload.write_bytes(b"durable")
+    token = make_cli_token(capsys, server.address, payload)
+    state = tmp_path / "durable-state"
+    code, _, _ = run(
+        capsys, "transfer", "offer", "--host", server.address, "--token", token,
+        "--state-dir", str(state),
+    )
+    assert code == 0
+    assert dir_synced_after_replace(rename_log, state / f"recipient-{token}.session")
 
 
 def test_sessions_never_contain_passphrases(capsys, server, tmp_path, monkeypatch):

@@ -1,5 +1,8 @@
 import random
 import socket
+from collections import defaultdict
+
+import pytest
 
 from conftest import as_chain, build_records, make_token, wait_until
 from tokenledger import (
@@ -8,7 +11,16 @@ from tokenledger import (
     serialize_record,
     verify_chain,
 )
-from tokenledger.network import ALIVE, DEAD, LedgerServer, MAX_LINE_BYTES, SUSPECT, PeerTable, split_address
+from tokenledger.network import (
+    ALIVE,
+    DEAD,
+    MAX_LINE_BYTES,
+    SUSPECT,
+    LedgerServer,
+    PeerTable,
+    _Handler,
+    split_address,
+)
 
 S = make_token("network token")
 
@@ -96,6 +108,76 @@ def test_peers_listing(cfg, server_factory):
     with WireClient(b.address) as client:
         listing = client.peers()
     assert b.advertise in listing and a.address in listing
+
+
+# -- one write per response block ---------------------------------------------
+
+
+@pytest.fixture
+def handler_writes(monkeypatch):
+    """Every write each server's handlers make to their connections, by server address."""
+    writes = defaultdict(list)
+    setup = _Handler.setup
+
+    def counting_setup(self):
+        setup(self)
+        write = self.wfile.write
+        server_writes = writes[self.server.ledger_server.address]
+
+        def counted(data):
+            server_writes.append(bytes(data))
+            return write(data)
+
+        self.wfile.write = counted
+
+    monkeypatch.setattr(_Handler, "setup", counting_setup)
+    return writes
+
+
+def raw_exchange(address, request: bytes, expected_len: int) -> bytes:
+    """Send one raw request and read exactly expected_len reply bytes."""
+    with socket.create_connection(split_address(address), timeout=5) as sock:
+        sock.sendall(request)
+        reply = b""
+        while len(reply) < expected_len:
+            chunk = sock.recv(expected_len - len(reply))
+            if not chunk:
+                break
+            reply += chunk
+    return reply
+
+
+def test_getchain_block_is_one_write_with_unchanged_bytes(cfg, server_factory, handler_writes):
+    server = server_factory()
+    records = build_records(cfg, S, "pw", 3)
+    push_chain(server, records)
+    before = len(handler_writes[server.address])
+    expected = "".join(f"REC {serialize_record(r)}\n" for r in records) + "END\n"
+    expected = expected.encode()
+    reply = raw_exchange(server.address, f"GETCHAIN {S}\n".encode(), len(expected))
+    assert reply == expected
+    assert handler_writes[server.address][before:] == [expected]
+
+
+def test_peers_block_is_one_write(server_factory, handler_writes):
+    a = server_factory(name="a")
+    b = server_factory(name="b")
+    c = server_factory(name="c", peers=(a.address, b.address))
+    expected = f"PEER {c.advertise}\nPEER {a.address}\nPEER {b.address}\nEND\n".encode()
+    reply = raw_exchange(c.address, b"PEERS\n", len(expected))
+    assert reply == expected
+    assert handler_writes[c.address] == [expected]
+
+
+@pytest.mark.parametrize("request_line, expected", [
+    (b"PING\n", b"OK pong\n"),
+    (b"BOGUS verb\n", b"ERR bad-request\n"),
+    (b"\xff\xfe\n", b"ERR bad-request\n"),
+])
+def test_one_line_reply_is_one_write(server_factory, handler_writes, request_line, expected):
+    server = server_factory()
+    assert raw_exchange(server.address, request_line, len(expected)) == expected
+    assert handler_writes[server.address] == [expected]
 
 
 # -- notifications ------------------------------------------------------------

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from conftest import as_chain, build_records, make_token
+from conftest import as_chain, build_records, dir_synced_after_replace, make_token
 from tokenledger import (
     HashConfig,
     KeyMaterial,
@@ -202,6 +202,13 @@ def test_compacted_file_reloads_and_reports_pruned(cfg, db):
         assert [r.seq for r in reloaded.get_chain(S)] == [4, 5]
         assert reloaded.get_record(S, 0) is PRUNED
         assert reloaded.verify_all()[S].ok
+
+
+def test_compact_fsyncs_the_directory_after_the_rename(cfg, db, rename_log):
+    with Ledger(cfg, db, history_depth=2) as ledger:
+        fill(ledger, cfg, S, "pw", 4)
+        assert ledger.compact()
+    assert dir_synced_after_replace(rename_log, db)
 
 
 # -- persistence -------------------------------------------------------------------

@@ -18,7 +18,7 @@ record's commitments.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .hashing import HashConfig, canonical_hash, is_digest, validate_digest
@@ -73,9 +73,6 @@ class Record:
             )
         return self
 
-    def with_data(self, data: str | None) -> "Record":
-        return replace(self, data=data)
-
 
 @dataclass(frozen=True)
 class TokenChain:
@@ -129,7 +126,11 @@ def serialize_record(record: Record) -> str:
     return line
 
 
-def _parse_seq(text: str) -> int:
+def parse_seq(text: str) -> int:
+    """A record's seq field: canonical decimal, no sign, no leading zeros.
+
+    Raises RecordFormatError, or ValueError past Python's int() digit limit.
+    """
     if not text.isascii() or not text.isdigit():
         raise RecordFormatError(f"field 1 (seq): not a canonical integer: {text!r}")
     if len(text) > 1 and text[0] == "0":
@@ -150,7 +151,7 @@ def parse_record(cfg: HashConfig, line: str) -> Record:
             f"got {len(parts)}"
         )
     record = Record(
-        seq=_parse_seq(parts[0]),
+        seq=parse_seq(parts[0]),
         token=parts[1],
         key=parts[2],
         generators=tuple(parts[3 : 3 + m]),
@@ -171,22 +172,6 @@ def _tower(cfg: HashConfig, token: str, reveal_seq: int, height: int, value: str
         value = canonical_hash(cfg, [seq, token, value])
         levels.append(value)
     return levels
-
-
-def key_cascade(cfg: HashConfig, token: str, reveal_seq: int, key: str) -> tuple[str, ...]:
-    """All commitment values anchored at one key.
-
-    key is the secret revealed by record reveal_seq. Position h-1 of the
-    result is the height-h tower ending at that key: the generator
-    commitment at depth h held by record reveal_seq - h for h <= m, and the
-    owner commitment of record reveal_seq - m - 1 at h = m+1. Heights whose
-    holding record would sit before the genesis are omitted.
-    """
-    if reveal_seq < 1:
-        raise ValueError(f"reveal_seq must be >= 1, got {reveal_seq}")
-    validate_digest(cfg, key, "key")
-    height = min(cfg.generator_count + 1, reveal_seq)
-    return tuple(_tower(cfg, token, reveal_seq, height, key))
 
 
 def commitment_tower(cfg: HashConfig, token: str, reveal_seq: int, height: int, key: str) -> str:

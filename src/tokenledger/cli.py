@@ -18,14 +18,13 @@ import signal
 import socket
 import sys
 import threading
-from dataclasses import replace
 from pathlib import Path
 
 from . import wallet
 from .chain import RecordFormatError, TokenChain, parse_record, serialize_record, verify_chain
-from .hashing import EncodingError
+from .hashing import EncodingError, validate_digest
 from .network import LedgerServer, WireClient, WireError
-from .store import Ledger, LoadError, StoreConfig, replace_durably
+from .store import SETTINGS, Ledger, LoadError, StoreConfig, replace_durably
 
 PASSPHRASE_ENV = "TOKENLEDGER_PASSPHRASE"
 
@@ -42,32 +41,17 @@ def _config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--algorithm", help="hash algorithm (default sha256)")
     parser.add_argument("--domain-tag", dest="domain_tag", help="database domain tag")
-    parser.add_argument("--generators", type=int, help="generator field count")
+    parser.add_argument("--generators", help="generator field count")
 
 
 def _effective_config(args: argparse.Namespace) -> StoreConfig:
-    """File config with flag overrides on top; flags always win."""
-    cfg = StoreConfig.from_file(args.config) if args.config else StoreConfig()
-    overrides: dict[str, object] = {}
-    for name in ("algorithm", "domain_tag", "generators", "listen"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if overrides.get("domain_tag") == "":
-        overrides["domain_tag"] = None
-        cfg = replace(cfg, domain_tag=None)
-        del overrides["domain_tag"]
-    peers = getattr(args, "peers", None)
-    if peers is not None:
-        overrides["peers"] = tuple(p.strip() for p in peers.split(",") if p.strip())
-    cfg = cfg.merged(**overrides)
-    depth = getattr(args, "history_depth", None)
-    if depth is not None:
-        parsed = None if depth == "unlimited" else int(depth)
-        if parsed is not None and parsed < 1:
-            raise CliError("history depth must be >= 1", E_USAGE)
-        cfg = replace(cfg, history_depth=parsed)
-    return cfg
+    """The config file's settings, then the flags given; each flag's dest is its key."""
+    try:
+        text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+    except OSError as exc:
+        raise CliError(f"cannot read config: {exc}", E_USAGE)
+    flags = [(key, value) for key in SETTINGS if (value := getattr(args, key, None)) is not None]
+    return StoreConfig.from_text(text, flags)
 
 
 def _passphrase() -> str:
@@ -80,11 +64,12 @@ def _passphrase() -> str:
 def _connect(host: str) -> WireClient:
     try:
         return WireClient(host)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:  # a malformed address is a ValueError, a usage error
         raise CliError(f"cannot reach {host}: {exc}", E_CONN)
 
 
 def _fetch_chain(client: WireClient, cfg, token: str) -> TokenChain:
+    validate_digest(cfg, token, "token")
     try:
         lines = client.getchain(token)
         records = tuple(parse_record(cfg, line) for line in lines)
@@ -162,8 +147,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     cfg = _effective_config(args)
     if args.verbose:
         logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-        for field in ("algorithm", "domain_tag", "generators", "history_depth", "listen", "peers"):
-            print(f"config {field}={getattr(cfg, field)}")
+        for key in SETTINGS:
+            print(f"config {key}={getattr(cfg, key)}")
     try:
         ledger = Ledger(cfg.hash_config(), args.db, cfg.history_depth)
     except LoadError as exc:
@@ -174,10 +159,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return E_USAGE
     try:
         server = LedgerServer(ledger, listen=cfg.listen, peers=cfg.peers)
-    except WireError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (WireError, ValueError) as exc:  # port taken; bad listen or peer address
         ledger.close()
-        return E_CONN
+        raise CliError(str(exc), E_CONN if isinstance(exc, WireError) else E_USAGE)
     stop = threading.Event()
 
     def _signalled(signum, frame):

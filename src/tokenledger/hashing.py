@@ -57,13 +57,6 @@ class HashConfig:
         """Length in hex characters of a digest under this config."""
         return _DIGEST_LENGTHS[self.algorithm]
 
-    def compatible_with(self, other: "HashConfig") -> bool:
-        return (
-            self.algorithm == other.algorithm
-            and self.domain_tag == other.domain_tag
-            and self.generator_count == other.generator_count
-        )
-
 
 def _encode_arg(arg: str | int) -> str:
     if isinstance(arg, bool):

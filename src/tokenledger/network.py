@@ -30,8 +30,9 @@ import socketserver
 import threading
 import time
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
-from .chain import Record, RecordFormatError, parse_record, serialize_record
+from .chain import Record, RecordFormatError, parse_record, parse_seq, serialize_record
 from .hashing import HashConfig, is_digest
 from .store import CONFLICT_REASONS, Ledger, PRUNED
 
@@ -45,6 +46,10 @@ DEAD = "dead"
 
 SUSPECT_AFTER = 1  # consecutive failed probes
 DEAD_AFTER = 3
+PEER_TIMEOUT = 2.0  # seconds, for each request a server sends a peer
+MAX_PEERS = 64
+
+T = TypeVar("T")
 
 
 class WireError(Exception):
@@ -52,10 +57,15 @@ class WireError(Exception):
 
 
 def split_address(address: str) -> tuple[str, int]:
+    """host:port as the socket layer takes it; ValueError naming the address otherwise."""
     host, _, port = address.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"bad address (want host:port): {address!r}")
-    return host, int(port)
+    try:
+        host.encode("idna")  # how socket encodes a host name; refuses empty labels
+        if host and port.isascii() and port.isdigit() and int(port) < 65536:
+            return host, int(port)
+    except ValueError:  # UnicodeError, or a port past int()'s digit limit
+        pass
+    raise ValueError(f"bad address (want host:port): {address!r}")
 
 
 @dataclass
@@ -70,15 +80,25 @@ class Peer:
 
 
 class PeerTable:
-    """Known servers with liveness state. Static entries are never evicted."""
+    """Known servers with liveness state. Static entries are never evicted.
 
-    def __init__(self, own_address: str, max_size: int = 64):
+    add_static and learn, the only ways in, refuse an address that is not host:port.
+    """
+
+    def __init__(self, own_address: str, max_size: int = MAX_PEERS):
         self.own_address = own_address
         self.max_size = max_size
         self._peers: dict[str, Peer] = {}
         self._lock = threading.Lock()
 
+    def set_own_address(self, address: str) -> None:
+        with self._lock:
+            self.own_address = address
+            self._peers.pop(address, None)
+
     def add_static(self, address: str) -> None:
+        """Add an operator-configured peer; ValueError for a malformed address."""
+        split_address(address)
         if address == self.own_address:
             return
         with self._lock:
@@ -88,6 +108,10 @@ class PeerTable:
 
     def learn(self, address: str, source: str) -> bool:
         """Merge a gossiped address; new entries start suspect until pinged."""
+        try:
+            split_address(address)
+        except ValueError:
+            return False
         if address == self.own_address:
             return False
         with self._lock:
@@ -176,7 +200,10 @@ class WireClient:
         raw = self._rfile.readline(MAX_LINE_BYTES + 2)
         if not raw:
             raise WireError(f"{self.address}: connection closed mid-response")
-        return raw.decode("utf-8").rstrip("\n")
+        try:
+            return raw.decode("utf-8").rstrip("\n")
+        except UnicodeDecodeError:
+            raise WireError(f"{self.address}: reply is not UTF-8") from None
 
     def request(self, line: str) -> str:
         self._sock.sendall(line.encode("utf-8") + b"\n")
@@ -238,7 +265,8 @@ class _Notifier:
         )
         self.thread.start()
 
-    def enqueue(self, line: str) -> None:
+    def enqueue(self, line: str | None) -> None:
+        """Queue a record line, or None to end the thread; drop the oldest if full."""
         while True:
             try:
                 self.queue.put_nowait(line)
@@ -250,28 +278,12 @@ class _Notifier:
                 except queue.Empty:
                     pass
 
-    def stop(self) -> None:
-        """Queue the sentinel that ends the thread, dropping the oldest if full."""
-        try:
-            self.queue.put_nowait(None)
-        except queue.Full:
-            try:
-                self.queue.get_nowait()
-            except queue.Empty:
-                pass
-            self.queue.put_nowait(None)
-
     def _run(self) -> None:
         while True:
             line = self.queue.get()
             if line is None:
                 return
-            try:
-                with WireClient(self.address, timeout=self.server.peer_timeout) as client:
-                    client.add(line)
-                self.server.peers.mark_success(self.address)
-            except (OSError, WireError):
-                self.server.peers.mark_failure(self.address)
+            self.server._ask_peer(self.address, lambda client: client.add(line))
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -306,8 +318,25 @@ class _Handler(socketserver.StreamRequestHandler):
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):
+    """Tracks its open connections, so that stopping can close them."""
+
     allow_reuse_address = True
     daemon_threads = True
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.connections: set[socket.socket] = set()
+        self.connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self.connections_lock:
+            self.connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self.connections_lock:
+            self.connections.discard(request)
+        super().shutdown_request(request)
 
 
 class LedgerServer:
@@ -326,12 +355,15 @@ class LedgerServer:
         advertise: str | None = None,
         probe_interval: float = 2.0,
         dead_probe_interval: float = 10.0,
-        peer_timeout: float = 2.0,
         notify_buffer: int = 128,
-        max_peers: int = 64,
     ):
         self.ledger = ledger
         self.cfg: HashConfig = ledger.cfg
+        # addresses are checked before a port is bound; the bound address
+        # replaces listen as the table's own address
+        self.peers = PeerTable(advertise or listen)
+        for peer in peers:
+            self.peers.add_static(peer)
         host, port = split_address(listen)
         try:
             self._tcp = _TCPServer((host, port), _Handler)
@@ -340,12 +372,9 @@ class LedgerServer:
         self._tcp.ledger_server = self  # type: ignore[attr-defined]
         self.address = f"{self._tcp.server_address[0]}:{self._tcp.server_address[1]}"
         self.advertise = advertise or self.address
-        self.peers = PeerTable(self.advertise, max_size=max_peers)
-        for peer in peers:
-            self.peers.add_static(peer)
+        self.peers.set_own_address(self.advertise)
         self.probe_interval = probe_interval
         self.dead_probe_interval = dead_probe_interval
-        self.peer_timeout = peer_timeout
         self.notify_buffer = notify_buffer
         self.divergence = 0
         self._counter_lock = threading.Lock()
@@ -370,17 +399,23 @@ class LedgerServer:
         return self
 
     def shutdown(self) -> None:
+        """Stop serving and close every open connection; also returns before start()."""
         self._stop.set()
         # serve_forever polls its shutdown flag only every 0.5 s; a shut-down
         # listening socket is readable at once, so its select wakes now
         with contextlib.suppress(OSError):
             self._tcp.socket.shutdown(socket.SHUT_RDWR)
-        self._tcp.shutdown()
+        if self._serve_thread is not None:
+            self._tcp.shutdown()  # waits for a serve_forever, so only after start()
+        with self._tcp.connections_lock:  # each handler then reads end of input
+            for connection in self._tcp.connections:
+                with contextlib.suppress(OSError):
+                    connection.shutdown(socket.SHUT_RDWR)
         self._tcp.server_close()
         with self._notifier_lock:
             notifiers = list(self._notifiers.values())
         for notifier in notifiers:
-            notifier.stop()
+            notifier.enqueue(None)  # the sentinel that ends its thread
         if self._maintenance_thread is not None:
             self._maintenance_thread.join(timeout=5)
         if self._serve_thread is not None:
@@ -408,14 +443,13 @@ class LedgerServer:
             return [f"REC {serialize_record(head)}"] if head else ["ERR not-found"]
         if verb == "GET":
             token, _, seq_text = rest.partition(" ")
-            canonical = (
-                seq_text.isascii()
-                and seq_text.isdigit()
-                and (len(seq_text) == 1 or seq_text[0] != "0")
-            )
-            if not is_digest(self.cfg, token) or not canonical:
+            if not is_digest(self.cfg, token):
                 return ["ERR bad-request"]
-            found = self.ledger.get_record(token, int(seq_text))
+            try:
+                seq = parse_seq(seq_text)
+            except ValueError:
+                return ["ERR bad-request"]
+            found = self.ledger.get_record(token, seq)
             if found is PRUNED:
                 return ["ERR pruned"]
             if found is None:
@@ -492,45 +526,34 @@ class LedgerServer:
         never overwritten; conflicting peer records count as divergence
         under the same rule as ADD.
         """
-        try:
-            with WireClient(peer, timeout=self.peer_timeout) as client:
-                lines = client.getchain(token)
-            self.peers.mark_success(peer)
-        except (OSError, WireError):
-            self.peers.mark_failure(peer)
-            return 0
-        return sum(self._ingest(line) == "OK added" for line in lines)
+        lines = self._ask_peer(peer, lambda client: client.getchain(token))
+        return sum(self._ingest(line) == "OK added" for line in lines or ())
 
     # -- peer maintenance ---------------------------------------------------
 
-    def _probe(self, address: str) -> None:
-        self.peers.note_probe(address)
+    def _ask_peer(self, address: str, request: Callable[[WireClient], T]) -> T | None:
+        """Send one request to a peer on a fresh connection; mark the peer by the outcome.
+
+        Returns the request's result, or None once the failure is marked. A
+        result of False (a PING not answered with pong) is a failure too.
+        """
         try:
-            with WireClient(address, timeout=self.peer_timeout) as client:
-                ok = client.ping()
+            with WireClient(address, timeout=PEER_TIMEOUT) as client:
+                result = request(client)
         except (OSError, WireError):
-            ok = False
-        if ok:
-            self.peers.mark_success(address)
-        else:
+            result = False
+        if result is False:
             self.peers.mark_failure(address)
+            return None
+        self.peers.mark_success(address)
+        return result
 
     def _gossip(self) -> None:
         alive = self.peers.alive()
         if not alive:
             return
         address = random.choice(alive)
-        try:
-            with WireClient(address, timeout=self.peer_timeout) as client:
-                learned = client.peers()
-        except (OSError, WireError):
-            self.peers.mark_failure(address)
-            return
-        for peer in learned:
-            try:
-                split_address(peer)
-            except ValueError:
-                continue
+        for peer in self._ask_peer(address, WireClient.peers) or ():
             self.peers.learn(peer, source=address)
 
     def _maintain_peers(self) -> None:
@@ -539,9 +562,7 @@ class LedgerServer:
             for peer in self.peers.snapshot():
                 if self._stop.is_set():
                     return
-                if peer.state == DEAD:
-                    if now - peer.last_probe >= self.dead_probe_interval:
-                        self._probe(peer.address)
-                else:
-                    self._probe(peer.address)
+                if peer.state != DEAD or now - peer.last_probe >= self.dead_probe_interval:
+                    self.peers.note_probe(peer.address)
+                    self._ask_peer(peer.address, WireClient.ping)
             self._gossip()

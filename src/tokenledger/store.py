@@ -12,8 +12,9 @@ import logging
 import os
 import threading
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from .chain import (
     Record,
@@ -25,7 +26,7 @@ from .chain import (
     verify_link,
     ChainReport,
 )
-from .hashing import ALGORITHMS, HashConfig
+from .hashing import HashConfig
 
 logger = logging.getLogger(__name__)
 
@@ -73,9 +74,21 @@ class LoadError(Exception):
         self.line_no = line_no
 
 
+# The one parser per setting. The config file's key=value lines and the
+# command-line flags that set a key both go through it.
+SETTINGS = {
+    "algorithm": str,
+    "domain_tag": lambda text: text or None,
+    "generators": int,
+    "history_depth": lambda text: None if text == "unlimited" else int(text),
+    "listen": str,
+    "peers": lambda text: tuple(p.strip() for p in text.split(",") if p.strip()),
+}
+
+
 @dataclass(frozen=True)
 class StoreConfig:
-    """Flat server configuration, loadable from a key=value text file."""
+    """Flat server configuration; its values are checked once, when it is built."""
 
     algorithm: str = "sha256"
     domain_tag: str | None = None
@@ -84,6 +97,11 @@ class StoreConfig:
     listen: str = "127.0.0.1:9440"
     peers: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        self.hash_config()  # refuses a bad algorithm, domain tag or generator count
+        if self.history_depth is not None and self.history_depth < 1:
+            raise ValueError("history_depth must be >= 1 (the head must survive)")
+
     def hash_config(self) -> HashConfig:
         return HashConfig(
             algorithm=self.algorithm,
@@ -91,13 +109,10 @@ class StoreConfig:
             generator_count=self.generators,
         )
 
-    def merged(self, **overrides) -> "StoreConfig":
-        changes = {k: v for k, v in overrides.items() if v is not None}
-        return replace(self, **changes)
-
     @classmethod
-    def from_text(cls, text: str) -> "StoreConfig":
-        values: dict[str, object] = {}
+    def from_text(cls, text: str, overrides: Iterable[tuple[str, str]] = ()) -> "StoreConfig":
+        """Read key=value lines, then the (key, value) overrides; a later value wins."""
+        settings: list[tuple[str, str]] = []
         for raw in text.splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -105,28 +120,16 @@ class StoreConfig:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"bad config line (expected key=value): {raw!r}")
-            key = key.strip()
-            value = value.strip()
-            if key == "algorithm":
-                if value not in ALGORITHMS:
-                    raise ValueError(f"unsupported algorithm: {value!r}")
-                values["algorithm"] = value
-            elif key == "domain_tag":
-                values["domain_tag"] = value or None
-            elif key == "generators":
-                values["generators"] = int(value)
-            elif key == "history_depth":
-                values["history_depth"] = None if value == "unlimited" else int(value)
-            elif key == "listen":
-                values["listen"] = value
-            elif key == "peers":
-                values["peers"] = tuple(p.strip() for p in value.split(",") if p.strip())
-            else:
+            settings.append((key.strip(), value.strip()))
+        values: dict[str, object] = {}
+        for key, value in [*settings, *overrides]:
+            if key not in SETTINGS:
                 raise ValueError(f"unknown config key: {key!r}")
-        cfg = cls(**values)  # type: ignore[arg-type]
-        if cfg.history_depth is not None and cfg.history_depth < 1:
-            raise ValueError("history_depth must be >= 1 (the head must survive)")
-        return cfg
+            try:
+                values[key] = SETTINGS[key](value)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+        return cls(**values)  # type: ignore[arg-type]
 
     @classmethod
     def from_file(cls, path: str | Path) -> "StoreConfig":

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -12,7 +13,6 @@ from tokenledger import (
     TokenMismatchError,
     expected_fields,
     fields_from_keys,
-    key_cascade,
     parse_record,
     serialize_record,
     verify_chain,
@@ -64,25 +64,6 @@ def test_package_chain_equals_oracle_chain(m):
     ours = [serialize_record(r) for r in build_records(cfg, token, "pw-dual", 6)]
     theirs = oracle.build_chain(token, "pw-dual", 6, m=m)
     assert ours == theirs
-
-
-def test_cascade_positions_match_towers(cfg):
-    rng = random.Random(3)
-    key = rand_digest(rng)
-    values = key_cascade(cfg, S, 5, key)
-    assert len(values) == cfg.generator_count + 1
-    for h, value in enumerate(values, start=1):
-        assert value == oracle.tower(S, 5, h, key)
-
-
-def test_cascade_near_genesis_truncates():
-    cfg = HashConfig(generator_count=3)
-    key = rand_digest(random.Random(4))
-    assert len(key_cascade(cfg, S, 1, key)) == 1
-    assert len(key_cascade(cfg, S, 2, key)) == 2
-    assert len(key_cascade(cfg, S, 10, key)) == 4
-    with pytest.raises(ValueError):
-        key_cascade(cfg, S, 0, key)
 
 
 @pytest.mark.parametrize("m, hashes", [(0, 1), (1, 3), (2, 6), (3, 10)])
@@ -204,7 +185,7 @@ def test_verify_chain_owner_swap_fails_at_the_right_link(cfg):
 
 def test_data_never_affects_verdicts(cfg):
     records = build_records(cfg, S, "pw-data", 5)
-    with_data = [r.with_data(f"note {r.seq}") for r in records]
+    with_data = [dataclasses.replace(r, data=f"note {r.seq}") for r in records]
     assert verify_chain(cfg, as_chain(S, with_data)).ok
 
 

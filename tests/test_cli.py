@@ -75,6 +75,11 @@ def test_connectivity_failure_exit_3(capsys, as_alice):
     assert code == 3
 
 
+def test_malformed_host_exit_2(capsys, as_alice):
+    code, _, err = run(capsys, "create", "--host", "nohostport", "--random")
+    assert code == 2 and "nohostport" in err
+
+
 # -- verify -------------------------------------------------------------------
 
 
@@ -403,6 +408,15 @@ def test_sessions_never_contain_passphrases(capsys, server, tmp_path, monkeypatc
         assert ALICE not in text and BOB not in text
 
 
+def test_show_and_verify_refuse_a_malformed_token(capsys, server):
+    for argv in (
+        ["show", "--host", server.address, "--token", "zz"],
+        ["verify", "--host", server.address, "--token", "zz"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "token: not a 64-char lowercase hex digest" in err
+
+
 def test_usage_error_exit_2(capsys, server):
     code, _, err = run(
         capsys, "transfer", "finish", "--host", server.address,
@@ -487,6 +501,35 @@ def test_config_file_with_flag_overrides(capsys, tmp_path, server_factory):
         assert code == 0 and out.strip().endswith("owned")
     finally:
         del os.environ["TOKENLEDGER_PASSPHRASE"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("generators", "abc"),
+    ("history_depth", "abc"),
+    ("history_depth", "0"),
+    ("algorithm", "md5"),
+    ("domain_tag", "two words"),
+])
+def test_bad_setting_same_message_from_file_and_flag(capsys, tmp_path, key, value):
+    """One parser for the config file and the flags: exit 2, and the message names the key."""
+    conf = tmp_path / "bad.conf"
+    conf.write_text(f"{key}={value}\n")
+    with socket.socket() as blocker:  # should a bad value get through, serve cannot bind
+        blocker.bind(("127.0.0.1", 0))
+        blocker.listen(1)
+        serve = ["serve", "--db", str(tmp_path / "s.db"),
+                 "--listen", f"127.0.0.1:{blocker.getsockname()[1]}"]
+        from_file = run(capsys, *serve, "--config", str(conf))
+        from_flag = run(capsys, *serve, "--" + key.replace("_", "-"), value)
+    assert from_file == from_flag
+    code, _, err = from_file
+    assert code == 2 and key in err
+
+
+def test_unreadable_config_file_exits_2(capsys, tmp_path):
+    missing = tmp_path / "missing.conf"
+    code, _, err = run(capsys, "verify", "--db", str(tmp_path / "x.db"), "--config", str(missing))
+    assert code == 2 and "missing.conf" in err
 
 
 def _transfer_over_cli(capsys, tmp_path, server_factory, monkeypatch, m):
@@ -589,6 +632,18 @@ def test_serve_occupied_port_names_it(capsys, tmp_path):
         ])
         captured = capsys.readouterr()
     assert code != 0 and str(port) in captured.err
+
+
+def test_serve_malformed_peer_exits_2_before_binding(capsys, tmp_path):
+    with socket.socket() as blocker:
+        blocker.bind(("127.0.0.1", 0))
+        blocker.listen(1)
+        port = blocker.getsockname()[1]
+        code, _, err = run(
+            capsys, "serve", "--db", str(tmp_path / "s.db"),
+            "--listen", f"127.0.0.1:{port}", "--peers", "127.0.0.1:9441,nohostport",
+        )
+    assert code == 2 and "nohostport" in err
 
 
 def test_serve_with_peers_listed(tmp_path, server_factory):

@@ -69,14 +69,6 @@ def test_unknown_algorithm():
         HashConfig(algorithm="crc32")
 
 
-def test_compatibility_is_three_field_equality():
-    a = HashConfig()
-    assert a.compatible_with(HashConfig(data_max_bytes=9999))
-    assert not a.compatible_with(HashConfig(domain_tag="x"))
-    assert not a.compatible_with(HashConfig(generator_count=2))
-    assert not a.compatible_with(HashConfig(algorithm="sha512"))
-
-
 def test_algorithm_digest_lengths():
     assert HashConfig().digest_length == 64
     assert HashConfig(algorithm="sha512").digest_length == 128

@@ -1,13 +1,16 @@
 import random
 import socket
+import threading
 from collections import defaultdict
 
 import pytest
 
 from conftest import as_chain, build_records, make_token, wait_until
 from tokenledger import (
+    Ledger,
     Record,
     WireClient,
+    WireError,
     serialize_record,
     verify_chain,
 )
@@ -90,6 +93,17 @@ def test_malformed_line_keeps_connection_open(server_factory):
         assert client.request("WHAT is this") == "ERR bad-request"
         assert client.request("") == "ERR bad-request"
         assert client.request("GETHEAD nothex") == "ERR bad-request"
+        assert client.ping()  # same connection still serves
+
+
+def test_get_seq_follows_the_record_grammar(server_factory):
+    """A seq past int()'s digit limit is a bad request, not a dropped connection."""
+    server = server_factory()
+    with WireClient(server.address) as client:
+        assert client.request(f"GET {S} {'9' * 4300}") == "ERR not-found"
+        assert client.request(f"GET {S} {'9' * 4301}") == "ERR bad-request"
+        assert client.request(f"GET {S} 01") == "ERR bad-request"
+        assert client.request(f"GET {S} +1") == "ERR bad-request"
         assert client.ping()  # same connection still serves
 
 
@@ -319,18 +333,70 @@ def test_peer_table_basics():
     assert table.get_state("127.0.0.1:9001") is not None
 
 
+@pytest.mark.parametrize("address", [
+    "nohostport", ":9440", "host:", "host:port", "host:65536", "host:+1", "a..b:9440",
+])
+def test_peer_table_refuses_malformed_addresses(address):
+    table = PeerTable("127.0.0.1:9000")
+    with pytest.raises(ValueError, match="bad address"):
+        table.add_static(address)
+    assert not table.learn(address, "gossip")
+    assert table.snapshot() == []
+
+
+def test_malformed_static_peer_refused_before_binding(cfg):
+    with socket.socket() as blocker:
+        blocker.bind(("127.0.0.1", 0))
+        blocker.listen(1)
+        taken = f"127.0.0.1:{blocker.getsockname()[1]}"
+        with Ledger(cfg, None) as ledger, pytest.raises(ValueError, match="nohostport"):
+            LedgerServer(ledger, listen=taken, peers=("nohostport",))
+
+
+def test_non_utf8_reply_marks_the_peer_down(server_factory):
+    """A peer that answers with undecodable bytes is a failed probe, not a dead prober."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(8)
+
+    def answer_garbage():
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            with conn:
+                conn.recv(64)
+                conn.sendall(b"\xff\xfe\n")
+
+    threading.Thread(target=answer_garbage, daemon=True).start()
+    address = f"127.0.0.1:{listener.getsockname()[1]}"
+    server = server_factory(name="prober", probe_interval=0.05)
+    try:
+        server.peers.add_static(address)
+        assert wait_until(lambda: server.peers.get_state(address) == DEAD)
+        assert server._maintenance_thread.is_alive()
+    finally:
+        listener.shutdown(socket.SHUT_RDWR)  # wakes the accept on Linux
+        listener.close()
+
+
 def test_conflicting_geneses_detected_never_corrupt(cfg, server_factory):
     """Two peered servers fed rival geneses stay internally consistent and
     at least one counts the divergence."""
     a = server_factory(name="left")
     b = server_factory(name="right")
-    a.peers.add_static(b.address)
-    b.peers.add_static(a.address)
     mine = build_records(cfg, S, "pw-left", 1)[0]
     rival = build_records(cfg, S, "pw-right", 1)[0]
+    # both geneses land before the servers are peered, so neither
+    # notification can reach the other side first
     with WireClient(a.address) as ca, WireClient(b.address) as cb:
         assert ca.add(serialize_record(mine)) == "OK added"
         assert cb.add(serialize_record(rival)) == "OK added"
+    a.peers.add_static(b.address)
+    b.peers.add_static(a.address)
+    a.notify_peers(serialize_record(mine))
+    b.notify_peers(serialize_record(rival))
     # notifications cross; each side keeps its own first-accepted genesis
     assert wait_until(lambda: a.divergence + b.divergence > 0, timeout=8)
     assert a.ledger.get_head(S) == mine
@@ -387,3 +453,24 @@ def test_gate_universality_wire_fuzz(cfg, server_factory):
     report = verify_chain(cfg, as_chain(S, server.ledger.get_chain(S)))
     assert report.ok
     assert [serialize_record(r) for r in server.ledger.get_chain(S)] == lines
+
+
+# -- shutdown -----------------------------------------------------------------
+
+
+def test_shutdown_returns_on_a_server_never_started(cfg):
+    with Ledger(cfg, None) as ledger:
+        server = LedgerServer(ledger, listen="127.0.0.1:0")
+        stopper = threading.Thread(target=server.shutdown, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+
+
+def test_stopped_server_answers_nothing(server_factory):
+    server = server_factory()
+    with WireClient(server.address) as client:
+        assert client.ping()
+        server.shutdown()
+        with pytest.raises((WireError, OSError)):
+            client.ping()

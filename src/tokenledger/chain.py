@@ -15,13 +15,17 @@ ascending inward:
 and the owner field is the height-(m+1) tower anchored at K_{N+m+1}. Knowing
 the next m+1 keys is therefore exactly what it takes to reproduce a head
 record's commitments.
+
+commitment() is that tower and the one place the rule is computed: a wallet
+builds slot j with it from its own key (height j), and verify_link checks
+slot j with it one level above record N+1's key or generator (height 1). A
+failed check is named by the gate reason it becomes, bad-G(j) or bad-O.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-from .hashing import HashConfig, canonical_hash, is_digest, validate_digest
+from .hashing import HashConfig, canonical_hash, is_digest
 
 
 class RecordFormatError(ValueError):
@@ -30,6 +34,14 @@ class RecordFormatError(ValueError):
 
 class TokenMismatchError(ValueError):
     """Records for different tokens were linked together (caller routing bug)."""
+
+
+# Gate rejection reasons for a failed commitment (wire-visible, bit-exact).
+BAD_O = "bad-O"
+
+
+def bad_g(slot: int) -> str:
+    return f"bad-G({slot})"
 
 
 @dataclass(frozen=True)
@@ -93,7 +105,9 @@ class TokenChain:
 class LinkVerdict:
     """Outcome of checking one adjacent record pair.
 
-    field names the first failing commitment: "seq", "G[j]" or "O".
+    field names the first failure: "seq", or the gate's reason for a
+    failed commitment, bad-G(j) or bad-O. verify_chain adds "token" and
+    "format".
     """
 
     prev_seq: int
@@ -161,65 +175,15 @@ def parse_record(cfg: HashConfig, line: str) -> Record:
     return record.validate(cfg)
 
 
-def _tower(cfg: HashConfig, token: str, reveal_seq: int, height: int, value: str) -> list[str]:
-    """Levels 1..height of the tower over value, innermost hash at reveal_seq.
+def commitment(cfg: HashConfig, token: str, seq: int, height: int, value: str) -> str:
+    """The height-h tower over a value revealed in record seq + height.
 
-    Level h hashes at seq reveal_seq - h + 1, so the last level is the
-    whole tower: Hash(reveal_seq - height + 1, S, ... Hash(reveal_seq, S, value)).
+    Hash(seq + 1, S, ... Hash(seq + height, S, value) ...) is slot `height`
+    of record seq, the owner field at height m+1. value is not checked here.
     """
-    levels: list[str] = []
-    for seq in range(reveal_seq, reveal_seq - height, -1):
-        value = canonical_hash(cfg, [seq, token, value])
-        levels.append(value)
-    return levels
-
-
-def commitment_tower(cfg: HashConfig, token: str, reveal_seq: int, height: int, key: str) -> str:
-    """The single height-h tower anchored at the key revealed in record reveal_seq."""
-    if height < 1 or height > min(cfg.generator_count + 1, reveal_seq):
-        raise ValueError(f"height {height} out of range for reveal_seq {reveal_seq}")
-    validate_digest(cfg, key, "key")
-    return _tower(cfg, token, reveal_seq, height, key)[-1]
-
-
-def fields_from_keys(
-    cfg: HashConfig, token: str, seq: int, next_keys: Sequence[str]
-) -> tuple[tuple[str, ...], str]:
-    """Build record seq's generator and owner fields from the next m+1 keys.
-
-    next_keys[i] is the key to be revealed by record seq+1+i; slot j (the
-    owner at j = m+1) is the height-j tower over next_keys[j-1]. This is the
-    constructive side of the linking rules; expected_fields is the
-    verification side, and the two must agree on honestly built chains.
-    """
-    m = cfg.generator_count
-    if len(next_keys) != m + 1:
-        raise ValueError(f"need exactly {m + 1} keys, got {len(next_keys)}")
-    *gens, owner = (
-        _tower(cfg, token, seq + j, j, key)[-1] for j, key in enumerate(next_keys, start=1)
-    )
-    return tuple(gens), owner
-
-
-def expected_fields(
-    cfg: HashConfig, prev: Record, next_key: str, next_generators: Sequence[str]
-) -> tuple[tuple[str, ...], str]:
-    """What prev's generators and owner must equal, given the next record's contents.
-
-    Slot 1 commits to the next record's key; slot j+1 to its generator j;
-    the owner field to its last generator (to its key when m = 0). Each is
-    one tower level above the value it commits to.
-    """
-    m = cfg.generator_count
-    if len(next_generators) != m:
-        raise ValueError(
-            f"generator count mismatch: expected {m}, got {len(next_generators)}"
-        )
-    *gens, owner = (
-        _tower(cfg, prev.token, prev.seq + 1, 1, value)[-1]
-        for value in (next_key, *next_generators)
-    )
-    return tuple(gens), owner
+    for level_seq in range(seq + height, seq, -1):
+        value = canonical_hash(cfg, [level_seq, token, value])
+    return value
 
 
 def verify_link(cfg: HashConfig, prev: Record, nxt: Record) -> LinkVerdict:
@@ -230,23 +194,23 @@ def verify_link(cfg: HashConfig, prev: Record, nxt: Record) -> LinkVerdict:
         )
     if nxt.seq != prev.seq + 1:
         return LinkVerdict(prev_seq=prev.seq, ok=False, field="seq")
-    gens, owner = expected_fields(cfg, prev, nxt.key, nxt.generators)
-    for j, (have, want) in enumerate(zip(prev.generators, gens), start=1):
-        if have != want:
-            return LinkVerdict(prev_seq=prev.seq, ok=False, field=f"G[{j}]")
-    if prev.owner != owner:
-        return LinkVerdict(prev_seq=prev.seq, ok=False, field="O")
+    m = cfg.generator_count
+    if not len(prev.generators) == len(nxt.generators) == m:
+        raise ValueError(
+            f"generator count mismatch: expected {m}, "
+            f"got {len(prev.generators)} then {len(nxt.generators)}"
+        )
+    # slot j commits to nxt's key (j = 1) or its generator j-1; the owner is slot m+1
+    slots = (*prev.generators, prev.owner)
+    for j, (have, value) in enumerate(zip(slots, (nxt.key, *nxt.generators)), start=1):
+        if have != commitment(cfg, prev.token, prev.seq, 1, value):
+            return LinkVerdict(prev_seq=prev.seq, ok=False, field=BAD_O if j > m else bad_g(j))
     return LinkVerdict(prev_seq=prev.seq, ok=True)
 
 
-def verify_chain(cfg: HashConfig, chain: TokenChain | Iterable[Record]) -> ChainReport:
+def verify_chain(cfg: HashConfig, chain: TokenChain) -> ChainReport:
     """Per-link verdicts for a whole chain; empty and single-record chains pass."""
-    if isinstance(chain, TokenChain):
-        token = chain.token
-        records = list(chain.records)
-    else:
-        records = list(chain)
-        token = records[0].token if records else ""
+    records = chain.records
     verdicts: list[LinkVerdict] = []
     ok = True
     for prev, nxt in zip(records, records[1:]):
@@ -258,4 +222,4 @@ def verify_chain(cfg: HashConfig, chain: TokenChain | Iterable[Record]) -> Chain
             verdict = LinkVerdict(prev_seq=prev.seq, ok=False, field="format")
         verdicts.append(verdict)
         ok = ok and verdict.ok
-    return ChainReport(token=token, ok=ok, verdicts=tuple(verdicts))
+    return ChainReport(token=chain.token, ok=ok, verdicts=tuple(verdicts))

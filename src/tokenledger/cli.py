@@ -73,7 +73,7 @@ def _fetch_chain(client: WireClient, cfg, token: str) -> TokenChain:
     try:
         lines = client.getchain(token)
         records = tuple(parse_record(cfg, line) for line in lines)
-    except (WireError, OSError) as exc:
+    except (WireError, OSError, ValueError) as exc:  # a record line parse_record refuses, too
         raise CliError(f"fetching chain failed: {exc}", E_CONN)
     return TokenChain(token=token, records=records)
 
@@ -218,7 +218,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             failures += 1
             bad = report.first_failure
-            print(f"FAIL {token} seq {bad.prev_seq} field {bad.field}")
+            print(f"FAIL {token} seq {bad.prev_seq} {bad.field}")
     print(f"{len(results)} tokens")
     return E_FAIL if failures else E_OK
 
@@ -287,11 +287,11 @@ def cmd_transfer_offer(args: argparse.Namespace) -> int:
     with _connect(args.host) as client:
         try:
             head_line = client.gethead(args.token)
-        except (WireError, OSError) as exc:
+            head = None if head_line is None else parse_record(cfg, head_line)
+        except (WireError, OSError, ValueError) as exc:
             raise CliError(f"fetching head failed: {exc}", E_CONN)
-    if head_line is None:
+    if head is None:
         raise CliError("token unknown to this server", E_FAIL)
-    head = parse_record(cfg, head_line)
     with _SessionFile(args.state_dir, "recipient", args.token) as sf:
         sf.refuse_if_in_progress()
         offer, session = wallet.recipient_offer(cfg, args.token, head.seq, km)

@@ -380,6 +380,7 @@ class LedgerServer:
         self._counter_lock = threading.Lock()
         self._notifiers: dict[str, _Notifier] = {}
         self._notifier_lock = threading.Lock()
+        self._retired_dropped = 0  # what ended notifiers dropped, for notify_dropped
         self._stop = threading.Event()
         self._serve_thread: threading.Thread | None = None
         self._maintenance_thread: threading.Thread | None = None
@@ -503,9 +504,16 @@ class LedgerServer:
         return targets
 
     def _notifier_for(self, address: str) -> _Notifier:
+        """The address's notifier. Before one is started, each notifier whose
+        peer has left the table gets its sentinel, so no more run than the
+        table holds peers."""
         with self._notifier_lock:
             notifier = self._notifiers.get(address)
             if notifier is None:
+                for gone in [a for a in self._notifiers if self.peers.get_state(a) is None]:
+                    retired = self._notifiers.pop(gone)
+                    retired.enqueue(None)
+                    self._retired_dropped += retired.dropped
                 notifier = _Notifier(self, address, self.notify_buffer)
                 self._notifiers[address] = notifier
             return notifier
@@ -517,7 +525,7 @@ class LedgerServer:
     def notify_dropped(self) -> int:
         """Notifications discarded because a peer's bounded buffer was full."""
         with self._notifier_lock:
-            return sum(n.dropped for n in self._notifiers.values())
+            return self._retired_dropped + sum(n.dropped for n in self._notifiers.values())
 
     def sync_token(self, token: str, peer: str) -> int:
         """Pull a peer's retained chain through the local gate, in seq order.

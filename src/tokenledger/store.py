@@ -35,12 +35,7 @@ SEQ_GAP = "seq-gap"
 SEQ_OCCUPIED = "seq-occupied"
 GENESIS_EXISTS = "genesis-exists"
 WRONG_GENERATOR_COUNT = "wrong-generator-count"
-BAD_O = "bad-O"
-
-
-def bad_g(slot: int) -> str:
-    return f"bad-G({slot})"
-
+# a failed commitment is rejected under its link verdict: chain.BAD_O, chain.bad_g(j)
 
 CONFLICT_REASONS = (SEQ_OCCUPIED, GENESIS_EXISTS)
 
@@ -98,7 +93,9 @@ class StoreConfig:
     peers: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        self.hash_config()  # refuses a bad algorithm, domain tag or generator count
+        if self.generators < 0:  # named by its key here, not by HashConfig's field
+            raise ValueError("generators must be >= 0")
+        self.hash_config()  # refuses a bad algorithm or domain tag
         if self.history_depth is not None and self.history_depth < 1:
             raise ValueError("history_depth must be >= 1 (the head must survive)")
 
@@ -258,10 +255,7 @@ class Ledger:
                 return rejected(SEQ_GAP)
             verdict = verify_link(self.cfg, head, record)
             if not verdict.ok:
-                if verdict.field == "O":
-                    return rejected(BAD_O)
-                assert verdict.field is not None and verdict.field.startswith("G[")
-                return rejected(bad_g(int(verdict.field[2:-1])))
+                return rejected(verdict.field)
             self._persist(record, trusted_replay)
             records.append(record)  # a bounded deque drops the oldest record
             return ADDED

@@ -35,13 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chain import (
-    Record,
-    TokenChain,
-    commitment_tower,
-    fields_from_keys,
-    verify_link,
-)
+from .chain import Record, TokenChain, commitment, verify_link
 from .hashing import EncodingError, HashConfig, canonical_hash, validate_digest
 
 
@@ -97,14 +91,14 @@ class KeyMaterial:
             self._cache[index] = k
         return k
 
-    def window(self, head_seq: int) -> list[str]:
-        """The m+1 keys committed by a head record at head_seq."""
-        m = self.cfg.generator_count
-        return [self.key(head_seq + 1 + i) for i in range(m + 1)]
-
     def commitment(self, seq: int, slot: int) -> str:
         """Slot `slot` of record seq (the owner field at m+1), built from our own key."""
-        return commitment_tower(self.cfg, self.token, seq + slot, slot, self.key(seq + slot))
+        return commitment(self.cfg, self.token, seq, slot, self.key(seq + slot))
+
+    def fields(self, seq: int) -> tuple[tuple[str, ...], str]:
+        """Record seq's generator and owner fields, committing to our keys seq+1 .. seq+m+1."""
+        *gens, owner = (self.commitment(seq, j) for j in range(1, self.cfg.generator_count + 2))
+        return tuple(gens), owner
 
     def __repr__(self) -> str:  # never leak the passphrase
         return f"KeyMaterial(token={self.token[:12]}...)"
@@ -115,13 +109,12 @@ def owns(cfg: HashConfig, chain: TokenChain, km: KeyMaterial) -> bool:
     head = chain.head
     if head is None:
         raise ValueError("ownership is undefined for an empty chain")
-    gens, owner = fields_from_keys(cfg, chain.token, head.seq, km.window(head.seq))
-    return gens == head.generators and owner == head.owner
+    return km.fields(head.seq) == (head.generators, head.owner)
 
 
 def genesis_record(cfg: HashConfig, token: str, km: KeyMaterial, data: str | None = None) -> Record:
     """First record of a token: key slot 0, commitments to keys 1 .. m+1."""
-    gens, owner = fields_from_keys(cfg, token, 0, km.window(0))
+    gens, owner = km.fields(0)
     return Record(
         seq=0, token=token, key=km.key(0), generators=gens, owner=owner, data=data
     ).validate(cfg)
@@ -138,7 +131,7 @@ def self_extend(cfg: HashConfig, chain: TokenChain, km: KeyMaterial, data: str |
         raise OwnershipError("key material does not own this chain")
     head = chain.head
     seq = head.seq + 1
-    gens, owner = fields_from_keys(cfg, chain.token, seq, km.window(seq))
+    gens, owner = km.fields(seq)
     return _extend(cfg, head, km, gens, owner, data, "self-extension")
 
 

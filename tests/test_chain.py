@@ -8,16 +8,16 @@ import oracle
 from conftest import as_chain, build_records, make_token
 from tokenledger import (
     HashConfig,
+    KeyMaterial,
     Record,
     RecordFormatError,
     TokenMismatchError,
-    expected_fields,
-    fields_from_keys,
     parse_record,
     serialize_record,
     verify_chain,
     verify_link,
 )
+from tokenledger.chain import commitment
 
 S = make_token("chain token")
 HEXDIGITS = "0123456789abcdef"
@@ -68,15 +68,16 @@ def test_package_chain_equals_oracle_chain(m):
 
 @pytest.mark.parametrize("m, hashes", [(0, 1), (1, 3), (2, 6), (3, 10)])
 def test_fields_from_keys_hashes_each_tower_level_once(m, hashes, monkeypatch):
+    """KeyMaterial.fields builds slot j as one height-j commitment: 1 + 2 + .. + (m+1) hashes."""
     from tokenledger import chain
 
     cfg = HashConfig(generator_count=m)
-    keys = [rand_digest(random.Random(m)) for _ in range(m + 1)]
-    want = fields_from_keys(cfg, S, 10, keys)
+    km = KeyMaterial(cfg, S, "pw-count")
+    want = km.fields(10)  # also caches the keys, so only tower levels are counted below
     calls = []
     counted = chain.canonical_hash
     monkeypatch.setattr(chain, "canonical_hash", lambda *a: calls.append(a) or counted(*a))
-    assert fields_from_keys(cfg, S, 10, keys) == want
+    assert km.fields(10) == want
     assert len(calls) == hashes
 
 
@@ -96,22 +97,32 @@ def test_parse_record_checks_each_digest_once(m, monkeypatch):
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_expected_fields_round_trips_construction(m):
-    """expected_fields reproduces fields built constructively from keys."""
+    """Fields built as height-j towers over the next keys are the height-1
+    commitments verify_link expects from the next record's contents."""
     cfg = HashConfig(generator_count=m)
     rng = random.Random(m)
-    keys = [rand_digest(rng) for _ in range(m + 2)]
-    prev_gens, prev_owner = fields_from_keys(cfg, S, 4, keys[: m + 1])
-    next_gens, _ = fields_from_keys(cfg, S, 5, keys[1:])
+    keys = [rand_digest(rng) for _ in range(m + 2)]  # keys[i] is revealed in record 5 + i
+
+    def built(seq, window):
+        return [commitment(cfg, S, seq, j, key) for j, key in enumerate(window, start=1)]
+
+    *prev_gens, prev_owner = built(4, keys[: m + 1])
+    *next_gens, next_owner = built(5, keys[1:])
     prev = Record(seq=4, token=S, key=rand_digest(rng), generators=prev_gens, owner=prev_owner)
-    got_gens, got_owner = expected_fields(cfg, prev, keys[0], next_gens)
-    assert got_gens == prev_gens
-    assert got_owner == prev_owner
+    nxt = Record(seq=5, token=S, key=keys[0], generators=next_gens, owner=next_owner)
+    expected = [commitment(cfg, S, 4, 1, value) for value in (keys[0], *next_gens)]
+    assert expected == [*prev_gens, prev_owner]
+    assert verify_link(cfg, prev, nxt).ok
 
 
 def test_expected_fields_generator_count_mismatch(cfg):
-    prev = build_records(cfg, S, "pw", 1)[0]
+    r = build_records(cfg, S, "pw", 2)
+    short = dataclasses.replace(r[1], generators=())
     with pytest.raises(ValueError, match="generator count"):
-        expected_fields(cfg, prev, prev.key, [])
+        verify_link(cfg, r[0], short)
+    with pytest.raises(ValueError, match="generator count"):
+        verify_link(cfg, dataclasses.replace(r[0], generators=()), r[1])
+    assert verify_chain(cfg, as_chain(S, [r[0], short])).first_failure.field == "format"
 
 
 # -- verify_link / verify_chain ---------------------------------------------
@@ -137,7 +148,7 @@ def test_flipped_next_key_rejects_first_generator(cfg):
         generators=r[1].generators, owner=r[1].owner,
     )
     verdict = verify_link(cfg, r[0], bad)
-    assert not verdict.ok and verdict.field == "G[1]"
+    assert not verdict.ok and verdict.field == "bad-G(1)"
 
 
 def test_flipped_last_generator_rejects_owner(cfg):
@@ -146,7 +157,7 @@ def test_flipped_last_generator_rejects_owner(cfg):
     flipped = ("f" if g[0] != "f" else "0") + g[1:]
     bad = Record(seq=r[1].seq, token=S, key=r[1].key, generators=(flipped,), owner=r[1].owner)
     verdict = verify_link(cfg, r[0], bad)
-    assert not verdict.ok and verdict.field == "O"
+    assert not verdict.ok and verdict.field == "bad-O"
 
 
 def test_token_mismatch_is_an_error_not_a_verdict(cfg):
@@ -178,7 +189,7 @@ def test_verify_chain_owner_swap_fails_at_the_right_link(cfg):
     report = verify_chain(cfg, as_chain(S, records))
     assert not report.ok
     bad = report.first_failure
-    assert bad.prev_seq == 50 and bad.field == "O"
+    assert bad.prev_seq == 50 and bad.field == "bad-O"
     # the link 49 -> 50 is untouched: record 50's owner is not checked there
     assert report.verdicts[49].ok
 

@@ -1,7 +1,10 @@
+import dataclasses
 import signal
 import socket
+import socketserver
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -142,6 +145,61 @@ def test_verify_over_the_wire(capsys, server, as_alice, tmp_path):
     assert code == 0 and f"ok {token}" in out
     code, _, err = run(capsys, "verify", "--host", server.address)
     assert code == 2
+
+
+@pytest.fixture
+def stub_server():
+    """Start servers that answer each request verb with a fixed reply block."""
+    started = []
+
+    def make(replies):
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(self):
+                for raw in self.rfile:
+                    verb = raw.decode().split(" ", 1)[0].strip()
+                    block = replies.get(verb, ["ERR bad-request"])
+                    self.wfile.write("".join(line + "\n" for line in block).encode())
+
+        srv = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+        srv.daemon_threads = True
+        thread = threading.Thread(target=srv.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        started.append((srv, thread))
+        return f"127.0.0.1:{srv.server_address[1]}"
+
+    yield make
+    for srv, thread in started:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+
+
+def test_verify_over_the_wire_names_the_failed_link(capsys, cfg, stub_server):
+    token = make_token("broken owner link")
+    records = build_records(cfg, token, "pw", 2)
+    flipped = ("0" if records[0].owner[0] != "0" else "1") + records[0].owner[1:]
+    records[0] = dataclasses.replace(records[0], owner=flipped)
+    host = stub_server({"GETCHAIN": [f"REC {serialize_record(r)}" for r in records] + ["END"]})
+    code, out, _ = run(capsys, "verify", "--host", host, "--token", token)
+    assert code == 1
+    assert f"FAIL {token} seq 0 bad-O" in out.splitlines()
+
+
+@pytest.mark.parametrize("command, failed", [
+    (["show"], "fetching chain failed"),
+    (["verify"], "fetching chain failed"),
+    (["transfer", "offer", "--state-dir", "STATE"], "fetching head failed"),
+])
+def test_malformed_record_from_server_is_a_bad_reply(
+    capsys, stub_server, as_alice, tmp_path, command, failed
+):
+    """A record line the server sends that does not parse exits 3, like any bad reply."""
+    host = stub_server({"GETCHAIN": ["REC 0 garbage", "END"], "GETHEAD": ["REC 0 garbage"]})
+    token = make_token("garbage reply")
+    argv = [str(tmp_path) if arg == "STATE" else arg for arg in command]
+    code, _, err = run(capsys, *argv, "--host", host, "--token", token)
+    assert code == 3
+    assert failed in err
 
 
 def test_verify_over_the_wire_names_a_missing_token(capsys, server, as_alice, tmp_path):
@@ -505,6 +563,7 @@ def test_config_file_with_flag_overrides(capsys, tmp_path, server_factory):
 
 @pytest.mark.parametrize("key, value", [
     ("generators", "abc"),
+    ("generators", "-1"),
     ("history_depth", "abc"),
     ("history_depth", "0"),
     ("algorithm", "md5"),
@@ -601,17 +660,16 @@ def _free_port():
 
 def test_serve_runs_and_stops_cleanly(tmp_path):
     port = _free_port()
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "tokenledger.cli", "serve",
          "--db", str(tmp_path / "srv.db"), "--listen", f"127.0.0.1:{port}"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    try:
-        assert wait_until(lambda: _ping(port), timeout=10), "server never answered"
-        pass
-    finally:
-        proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=10) == 0
+    ) as proc:  # leaving the block closes the pipes
+        try:
+            assert wait_until(lambda: _ping(port), timeout=10), "server never answered"
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0
 
 
 def _ping(port):
@@ -650,17 +708,17 @@ def test_serve_with_peers_listed(tmp_path, server_factory):
     peer_a = server_factory(name="pa")
     peer_b = server_factory(name="pb")
     port = _free_port()
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "tokenledger.cli", "serve",
          "--db", str(tmp_path / "peered.db"), "--listen", f"127.0.0.1:{port}",
          "--peers", f"{peer_a.address},{peer_b.address}"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    try:
-        assert wait_until(lambda: _ping(port), timeout=10)
-        with WireClient(f"127.0.0.1:{port}") as client:
-            listing = client.peers()
-        assert peer_a.address in listing and peer_b.address in listing
-    finally:
-        proc.send_signal(signal.SIGTERM)
-        proc.wait(timeout=10)
+    ) as proc:  # leaving the block closes the pipes
+        try:
+            assert wait_until(lambda: _ping(port), timeout=10)
+            with WireClient(f"127.0.0.1:{port}") as client:
+                listing = client.peers()
+            assert peer_a.address in listing and peer_b.address in listing
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=10)

@@ -429,6 +429,29 @@ def test_notify_buffer_bounded_drops_oldest(cfg, server_factory):
     assert server.notify_dropped() > 0
 
 
+def test_notifier_threads_end_when_their_peer_leaves_the_table(cfg):
+    """Churn 20 addresses through a 3-entry table: no more notifiers run than it holds."""
+    addresses = [f"127.0.0.{i}:1" for i in range(2, 22)]  # loopback, nothing listens
+    with Ledger(cfg, None) as ledger:
+        server = LedgerServer(ledger, listen="127.0.0.1:0")
+        server.peers.max_size = 3
+        try:
+            for address in addresses:
+                assert server.peers.learn(address, "test")
+                server.peers.mark_success(address)
+                server.notify_peers(f"line for {address}")
+
+            def notifier_threads():
+                names = {f"notify-{address}" for address in addresses}
+                return [t for t in threading.enumerate() if t.name in names]
+
+            assert wait_until(lambda: len(notifier_threads()) <= 3, timeout=10), (
+                [t.name for t in notifier_threads()]
+            )
+        finally:
+            server.shutdown()
+
+
 def test_gate_universality_wire_fuzz(cfg, server_factory):
     """Random wire garbage and mutations never corrupt the ledger."""
     server = server_factory(name="fuzzed")

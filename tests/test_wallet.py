@@ -126,17 +126,27 @@ def test_ownership_is_exactly_m_plus_one_keys(m):
     token = make_token(f"window {m}")
     records = build_records(cfg, token, "pw-window", 3)
     chain = as_chain(token, records)
-    km = KeyMaterial(cfg, token, "pw-window")
     head_seq = chain.head.seq
-    window = km.window(head_seq)
-    assert len(window) == m + 1
-    from tokenledger import fields_from_keys
 
-    for withheld in range(m + 1):
-        tampered = list(window)
-        tampered[withheld] = oracle.derive(999, token, "someone-else")
-        gens, owner = fields_from_keys(cfg, token, head_seq, tampered)
-        assert (gens, owner) != (chain.head.generators, chain.head.owner)
+    class Withholding(KeyMaterial):
+        """Derives every key but one, and notes which keys were asked for."""
+
+        def __init__(self, withheld):
+            super().__init__(cfg, token, "pw-window")
+            self.withheld = withheld
+            self.asked = set()
+
+        def key(self, index):
+            self.asked.add(index)
+            if index == self.withheld:
+                return oracle.derive(999, token, "someone-else")
+            return super().key(index)
+
+    km = Withholding(withheld=None)
+    assert owns(cfg, chain, km)
+    assert km.asked == set(range(head_seq + 1, head_seq + m + 2))
+    for withheld in sorted(km.asked):
+        assert not owns(cfg, chain, Withholding(withheld))
 
 
 # -- offers --------------------------------------------------------------------

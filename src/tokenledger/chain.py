@@ -23,7 +23,9 @@ failed check is named by the gate reason it becomes, bad-G(j) or bad-O.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .hashing import HashConfig, canonical_hash, is_digest
 
@@ -152,10 +154,32 @@ def parse_seq(text: str) -> int:
     return int(text)
 
 
+@lru_cache(maxsize=None)
+def _record_grammar(generator_count: int, digest_length: int) -> re.Pattern[str]:
+    """The whole canonical line `N S K G_1 .. G_m O [D]` as one pattern.
+
+    [0-9] is spelled out because \\d also matches non-ASCII digits.
+    """
+    digest = f"([0-9a-f]{{{digest_length}}})"
+    return re.compile(" ".join(["(0|[1-9][0-9]*)", *[digest] * (generator_count + 3)]) + "(?: (.*))?")
+
+
 def parse_record(cfg: HashConfig, line: str) -> Record:
     """Parse and validate one canonical record line; errors name the offending position."""
     if "\n" in line or "\r" in line:
         raise RecordFormatError("record line contains a newline")
+    match = _record_grammar(cfg.generator_count, cfg.digest_length).fullmatch(line)
+    if match is None:
+        return _parse_fields(cfg, line)
+    seq, token, key, *generators, owner, data = match.groups()
+    if data is not None and len(data.encode("utf-8")) > cfg.data_max_bytes:
+        return _parse_fields(cfg, line)
+    return Record(int(seq), token, key, tuple(generators), owner, data)
+
+
+def _parse_fields(cfg: HashConfig, line: str) -> Record:
+    """parse_record field by field, for a line the grammar refused: the
+    first bad field is the one the error names."""
     m = cfg.generator_count
     head_fields = 4 + m  # N S K G... O
     parts = line.split(" ", head_fields)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 # Algorithms guaranteed by hashlib on every platform and sane to expose.
 ALGORITHMS = ("sha256", "sha512", "sha224", "sha384", "sha1", "sha3_256", "sha3_512")
-_DIGEST_LENGTHS = {name: hashlib.new(name).digest_size * 2 for name in ALGORITHMS}
+_CONSTRUCTORS = {name: getattr(hashlib, name) for name in ALGORITHMS}
+_DIGEST_LENGTHS = {name: new().digest_size * 2 for name, new in _CONSTRUCTORS.items()}
 # Spelled out rather than \d, which also matches non-ASCII digits.
 _LOWER_HEX = re.compile("[0-9a-f]+")
 
@@ -83,12 +84,18 @@ def canonical_hash(cfg: HashConfig, args: list[str | int] | tuple[str | int, ...
     """
     if not args:
         raise EncodingError("argument list must not be empty")
-    parts = [_encode_arg(a) for a in args]
-    if cfg.domain_tag is not None:
-        parts.insert(0, cfg.domain_tag)
-    h = hashlib.new(cfg.algorithm)
-    h.update(" ".join(parts).encode("utf-8"))
-    return h.hexdigest()
+    parts = [] if cfg.domain_tag is None else [cfg.domain_tag]
+    for arg in args:
+        # exact str and int take the short path; anything else, bool and
+        # subclasses included, is accepted or refused by _encode_arg
+        kind = type(arg)
+        if kind is str and arg and " " not in arg and "\n" not in arg and "\r" not in arg:
+            parts.append(arg)
+        elif kind is int and arg >= 0:
+            parts.append(str(arg))
+        else:
+            parts.append(_encode_arg(arg))
+    return _CONSTRUCTORS[cfg.algorithm](" ".join(parts).encode("utf-8")).hexdigest()
 
 
 def is_digest(cfg: HashConfig, value: str) -> bool:

@@ -246,7 +246,7 @@ class Ledger:
                 window_start = state.window_start
                 if record.seq >= window_start:
                     existing = records[record.seq - window_start]
-                    if serialize_record(existing) == serialize_record(record):
+                    if existing == record:
                         return DUPLICATE
                 if record.seq == 0:
                     return rejected(GENESIS_EXISTS)

@@ -83,6 +83,9 @@ def test_fields_from_keys_hashes_each_tower_level_once(m, hashes, monkeypatch):
 
 @pytest.mark.parametrize("m", [0, 2])
 def test_parse_record_checks_each_digest_once(m, monkeypatch):
+    """A valid line is taken whole by the record grammar: no digest check.
+    A line the grammar refuses at field k is named at field k, and no digest
+    is checked twice on the way there."""
     from tokenledger import chain, hashing
 
     cfg = HashConfig(generator_count=m)
@@ -92,7 +95,15 @@ def test_parse_record_checks_each_digest_once(m, monkeypatch):
     for module in (chain, hashing):
         monkeypatch.setattr(module, "is_digest", lambda *a: calls.append(a) or counted(*a))
     parse_record(cfg, line)
-    assert len(calls) == m + 3
+    assert calls == []
+    fields = line.split(" ")
+    for k in range(2, m + 5):  # token .. owner, 1-based line positions
+        bad = fields[:k - 1] + [fields[k - 1].upper()] + fields[k:]
+        calls.clear()
+        with pytest.raises(RecordFormatError, match=f"field {k} "):
+            parse_record(cfg, " ".join(bad))
+        values = [value for _cfg, value in calls]
+        assert len(values) <= m + 3 and len(set(values)) == len(values)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
@@ -113,6 +124,21 @@ def test_expected_fields_round_trips_construction(m):
     expected = [commitment(cfg, S, 4, 1, value) for value in (keys[0], *next_gens)]
     assert expected == [*prev_gens, prev_owner]
     assert verify_link(cfg, prev, nxt).ok
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_verify_link_hashes_once_per_slot(m, monkeypatch):
+    """m + 1 hashes per link, each through the module's canonical_hash name,
+    which is the name the benchmark's tracer rebinds to count digests."""
+    from tokenledger import chain
+
+    cfg = HashConfig(generator_count=m)
+    prev, nxt = build_records(cfg, S, "pw-link", 2)
+    calls = []
+    counted = chain.canonical_hash
+    monkeypatch.setattr(chain, "canonical_hash", lambda *a: calls.append(a) or counted(*a))
+    assert verify_link(cfg, prev, nxt).ok
+    assert len(calls) == m + 1
 
 
 def test_expected_fields_generator_count_mismatch(cfg):
@@ -290,6 +316,62 @@ def test_roundtrip_property(m, seq, digests, data):
         data=data,
     )
     assert parse_record(cfg, serialize_record(record)) == record
+
+
+MUTANT_CHARS = "0123456789abcdefABCDEFg \u0661\u00e9\udcff"
+
+
+# name -> (line, cfg, position, character) -> mutated line
+MUTATIONS = {
+    "unchanged": lambda line, cfg, pos, ch: line,
+    "flip": lambda line, cfg, pos, ch: line[:pos] + ch + line[pos + 1 :],
+    "insert": lambda line, cfg, pos, ch: line[:pos] + ch + line[pos:],
+    "delete": lambda line, cfg, pos, ch: line[:pos] + line[pos + 1 :],
+    "uppercase-field": lambda line, cfg, pos, ch: " ".join(
+        f.upper() if i == 1 + pos % (cfg.generator_count + 3) else f
+        for i, f in enumerate(line.split(" "))
+    ),
+    "leading-zero": lambda line, cfg, pos, ch: "0" + line,
+    "double-space": lambda line, cfg, pos, ch: line[:pos] + line[pos:].replace(" ", "  ", 1),
+    "trailing-space": lambda line, cfg, pos, ch: line + " ",
+    "oversize-data": lambda line, cfg, pos, ch: line + " " + "x" * (cfg.data_max_bytes + 1),
+    "multibyte-data": lambda line, cfg, pos, ch: line + " " + "\u00e9" * (cfg.data_max_bytes // 2 + 1),
+    "4301-digit-seq": lambda line, cfg, pos, ch: "1" * 4301 + line[line.index(" ") :],
+    "non-ascii-seq": lambda line, cfg, pos, ch: "\u0661" + line[line.index(" ") :],
+    "surrogate-data": lambda line, cfg, pos, ch: line + " " + b"caf\xff".decode("utf-8", "surrogateescape"),
+}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("mutation", list(MUTATIONS))
+@given(
+    m=st.integers(min_value=0, max_value=3),
+    data_max_bytes=st.sampled_from([0, 16, 1024]),
+    seq=st.integers(min_value=0, max_value=10**6),
+    digests=st.lists(hex_digest, min_size=6, max_size=6),
+    data=st.none() | data_text,
+    where=st.integers(min_value=0, max_value=10**4),
+    ch=st.sampled_from(MUTANT_CHARS),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_parse_record_grammar_matches_field_by_field(
+    mutation, m, data_max_bytes, seq, digests, data, where, ch
+):
+    """The compiled grammar and the field-by-field path agree on every
+    mutated canonical line: an equal Record, or the same error and message."""
+    from tokenledger.chain import _parse_fields
+
+    cfg = HashConfig(generator_count=m, data_max_bytes=data_max_bytes)
+    record = Record(seq, digests[0], digests[1], tuple(digests[2 : 2 + m]), digests[5], data)
+    line = serialize_record(record)
+    line = MUTATIONS[mutation](line, cfg, where % len(line), ch)
+    assert _outcome(parse_record, cfg, line) == _outcome(_parse_fields, cfg, line)
 
 
 def test_roundtrip_randomized_10k():

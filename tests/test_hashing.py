@@ -1,4 +1,6 @@
+import hashlib
 import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ import oracle
 from tokenledger.hashing import (
     EncodingError,
     HashConfig,
+    _encode_arg,
     canonical_hash,
     is_digest,
     validate_digest,
@@ -122,3 +125,87 @@ def test_domain_tag_changes_every_digest():
     for _ in range(1_000):
         args = ["".join(rng.choices(alphabet, k=12)) for _ in range(rng.randint(1, 3))]
         assert canonical_hash(plain, args) != canonical_hash(tagged, args)
+
+
+# -- canonical_hash's short paths against the general encoding -----------------
+
+
+class Level(IntEnum):
+    LOW = 0
+    HIGH = 7
+
+
+class Text(str):
+    pass
+
+
+def encode_arg_hash(cfg, args):
+    """canonical_hash with every argument through _encode_arg: no short path."""
+    if not args:
+        raise EncodingError("argument list must not be empty")
+    parts = [_encode_arg(a) for a in args]
+    if cfg.domain_tag is not None:
+        parts.insert(0, cfg.domain_tag)
+    return hashlib.new(cfg.algorithm, " ".join(parts).encode("utf-8")).hexdigest()
+
+
+def outcome(fn, *args):
+    """The digest, or the type and message of what was raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_hash_parity(cfg, args):
+    want = outcome(encode_arg_hash, cfg, args)
+    assert outcome(canonical_hash, cfg, args) == want
+    if isinstance(want, str):
+        assert oracle.join_hash(args, cfg.algorithm, cfg.domain_tag) == want
+
+
+HASH_CONFIGS = [
+    HashConfig(),
+    HashConfig(domain_tag="db7"),
+    HashConfig(algorithm="sha1"),
+    HashConfig(algorithm="sha3_256", domain_tag="tag-\u00e9"),
+]
+
+
+@pytest.mark.parametrize("cfg", HASH_CONFIGS)
+@pytest.mark.parametrize(
+    "args",
+    [
+        [], (), [S], (3, S, "pass"), [0, S], [Level.HIGH, S], [Level.LOW], [Text("pass"), S],
+        [Text("")], [Text("a b")], [True, S], [False], [1.5], [b"pass"], [None], [-1], [-0],
+        [""], [" "], ["\n"], ["\r"], ["a b"], ["trailing "], ["caf\u00e9"], ["\u0661"],
+        ["\ud800"], [S, "\udcff"], [10**4301],
+    ],
+)
+def test_canonical_hash_matches_encode_arg_path(cfg, args):
+    assert_hash_parity(cfg, args)
+
+
+odd_char = st.sampled_from([" ", "\n", "\r", "\u00e9", "\u0661", "\ud800", "\udcff", "0", "a"])
+arg_text = st.text(alphabet=st.one_of(st.characters(), odd_char), max_size=12)
+hash_arg = st.one_of(
+    arg_text,
+    arg_text.map(Text),
+    st.integers(min_value=-3, max_value=10**30),
+    st.sampled_from(list(Level)),
+    st.booleans(),
+    st.floats(),
+    st.binary(max_size=4),
+    st.none(),
+)
+
+
+@given(
+    cfg=st.sampled_from(HASH_CONFIGS),
+    args=st.lists(hash_arg, max_size=4) | st.lists(hash_arg, max_size=4).map(tuple),
+)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_canonical_hash_parity_property(cfg, args):
+    """Same digest, or the same exception type and message, as the
+    _encode_arg-only path; accepted inputs also match the oracle."""
+    assert_hash_parity(cfg, args)

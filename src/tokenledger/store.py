@@ -3,8 +3,9 @@
 The storage file is the database: newline-delimited canonical record lines,
 appended in acceptance order and fsynced before an append returns. Loading
 replays every line through the same gate, so the on-disk file is
-self-verifying. Pruning trims the in-memory window eagerly (per token, the
-head always survives); compact() rewrites the file to match.
+self-verifying, and each link is proved once, there. Pruning trims the
+in-memory window eagerly (per token, the head always survives); compact()
+rewrites the file to match.
 """
 from __future__ import annotations
 
@@ -17,14 +18,14 @@ from pathlib import Path
 from typing import Iterable
 
 from .chain import (
+    ChainReport,
+    LinkVerdict,
     Record,
     RecordFormatError,
     TokenChain,
     parse_record,
     serialize_record,
-    verify_chain,
     verify_link,
-    ChainReport,
 )
 from .hashing import HashConfig
 
@@ -143,6 +144,15 @@ def replace_durably(src: Path, dst: Path) -> None:
         os.close(fd)
 
 
+def read_lines(path: str | Path) -> tuple[list[str], int]:
+    """A storage file's complete lines, and the size in bytes of a torn
+    final line (0 when the file ends in a newline). Only reads the file."""
+    raw = Path(path).read_bytes()
+    lines = raw.decode("utf-8", errors="surrogateescape").split("\n")
+    tail = lines.pop()  # "" for a clean file, the torn fragment otherwise
+    return lines, len(tail.encode("utf-8", errors="surrogateescape"))
+
+
 class _TokenState:
     """One token's retained records, the first seq still in the file, and its lock."""
 
@@ -177,32 +187,27 @@ class Ledger:
         self._file_lock = threading.Lock()
         self._fh = None
         if self.path is not None:
-            self._replay_file()
+            if self.path.exists():
+                lines, torn = read_lines(self.path)
+                if torn:
+                    logger.warning(
+                        "%s: truncating torn final line (%d bytes), earlier content kept",
+                        self.path, torn,
+                    )
+                    with open(self.path, "r+b") as fh:
+                        fh.seek(-torn, os.SEEK_END)
+                        fh.truncate()
+                        fh.flush()
+                        os.fsync(fh.fileno())
+                self.replay(lines)
             self._fh = open(self.path, "a", encoding="utf-8")
 
     # -- loading ---------------------------------------------------------
 
-    def _replay_file(self) -> None:
-        assert self.path is not None
-        if not self.path.exists():
-            return
-        raw = self.path.read_bytes()
-        if not raw:
-            return
-        torn = not raw.endswith(b"\n")
-        text = raw.decode("utf-8", errors="surrogateescape")
-        lines = text.split("\n")
-        tail = lines.pop()  # "" for a clean file, the torn fragment otherwise
-        if torn:
-            logger.warning(
-                "%s: truncating torn final line (%d bytes), earlier content kept",
-                self.path, len(tail.encode("utf-8", errors="surrogateescape")),
-            )
-            keep = len(raw) - len(tail.encode("utf-8", errors="surrogateescape"))
-            with open(self.path, "r+b") as fh:
-                fh.truncate(keep)
-                fh.flush()
-                os.fsync(fh.fileno())
+    def replay(self, lines: Iterable[str]) -> None:
+        """Run stored record lines through the gate, in order; raises
+        LoadError naming the first line (from 1) that fails to parse or link.
+        Writes nothing: the lines are already stored."""
         for line_no, line in enumerate(lines, start=1):
             try:
                 record = parse_record(self.cfg, line)
@@ -314,7 +319,20 @@ class Ledger:
             return [token for token, state in self._tokens.items() if state.records]
 
     def verify_all(self) -> dict[str, ChainReport]:
-        return {token: verify_chain(self.cfg, self.token_chain(token)) for token in self.tokens()}
+        """Each token's retained chain, reported as verify_chain would report it.
+
+        Nothing is hashed again. _gate is the only way a record enters a
+        token's records, and it proves verify_link(head, record) before
+        every append (at ADD, at sync and at replay); records are frozen, and
+        a bounded deque that drops its oldest record keeps every adjacent
+        pair it holds. So every retained link has been proved once already.
+        """
+        reports = {}
+        for token in self.tokens():
+            records = self.get_chain(token)
+            verdicts = tuple(LinkVerdict(prev_seq=prev.seq, ok=True) for prev in records[:-1])
+            reports[token] = ChainReport(token=token, ok=True, verdicts=verdicts)
+        return reports
 
     # -- size control ----------------------------------------------------
 

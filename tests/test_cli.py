@@ -135,6 +135,32 @@ def test_verify_empty_db(capsys, cfg, tmp_path):
     assert code == 0 and "0 tokens" in out
 
 
+@pytest.mark.parametrize("kind, want", [("clean", 0), ("torn", 0), ("corrupt", 1)])
+def test_verify_db_leaves_the_file_as_found(capsys, cfg, tmp_path, kind, want):
+    from tokenledger import Ledger
+
+    db = tmp_path / f"{kind}.db"
+    with Ledger(cfg, db) as ledger:
+        for record in build_records(cfg, make_token("as found"), "pw", 4):
+            ledger.append(record)
+    lines = db.read_bytes().split(b"\n")
+    if kind == "corrupt":
+        key = lines[2].split(b" ")[2]
+        lines[2] = lines[2].replace(key, (b"1" if key[:1] == b"0" else b"0") + key[1:])
+    content = b"\n".join(lines) + (b"4 dead" if kind == "torn" else b"")
+    db.write_bytes(content)
+    code, out, _ = run(capsys, "verify", "--db", str(db))
+    assert db.read_bytes() == content
+    assert code == want
+    assert ("torn tail: 6 bytes after line 4" in out) == (kind == "torn")
+    assert ("FAIL load: line 3" in out) == (kind == "corrupt")
+
+
+def test_verify_db_on_a_directory_exits_2(capsys, tmp_path):
+    code, _, err = run(capsys, "verify", "--db", str(tmp_path))
+    assert code == 2 and f"cannot open database {tmp_path}" in err
+
+
 def test_verify_over_the_wire(capsys, server, as_alice, tmp_path):
     payload = tmp_path / "w.bin"
     payload.write_bytes(b"wire verify")

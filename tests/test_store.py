@@ -14,6 +14,7 @@ from tokenledger import (
     StoreConfig,
     self_extend,
     serialize_record,
+    verify_chain,
 )
 from tokenledger.store import PRUNED
 
@@ -209,6 +210,93 @@ def test_compact_fsyncs_the_directory_after_the_rename(cfg, db, rename_log):
         fill(ledger, cfg, S, "pw", 4)
         assert ledger.compact()
     assert dir_synced_after_replace(rename_log, db)
+
+
+# -- verify_all --------------------------------------------------------------------
+
+
+def assert_reports_match_verify_chain(ledger):
+    reports = ledger.verify_all()
+    assert sorted(reports) == sorted(ledger.tokens())
+    for token, report in reports.items():
+        assert report == verify_chain(ledger.cfg, ledger.token_chain(token)), token
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_verify_all_matches_verify_chain(m, db):
+    """Appended, reloaded, depth-bounded, and compacted to a window that
+    does not start at seq 0: verify_all reports what verify_chain proves."""
+    cfg = HashConfig(generator_count=m)
+    tokens = [make_token(f"parity m{m} {t}") for t in range(3)]
+    with Ledger(cfg, db) as ledger:
+        for t, token in enumerate(tokens):
+            fill(ledger, cfg, token, f"pw-{t}", 1 + 3 * t)  # 1, 4 and 7 records
+        assert_reports_match_verify_chain(ledger)
+    with Ledger(cfg, db) as reloaded:
+        assert_reports_match_verify_chain(reloaded)
+    with Ledger(cfg, db, history_depth=3) as bounded:
+        assert [r.seq for r in bounded.get_chain(tokens[2])] == [4, 5, 6]
+        assert_reports_match_verify_chain(bounded)
+        assert bounded.compact()
+    with Ledger(cfg, db) as compacted:
+        assert [r.seq for r in compacted.get_chain(tokens[2])] == [4, 5, 6]
+        assert_reports_match_verify_chain(compacted)
+
+
+def _mutants(lines, m):
+    """Acceptance criterion 2's sweep: every other hex digit at each
+    position of K, G_1..G_m and O, and each seq +1 and -1, one line at a time.
+    Yields (line index, column, mutated lines)."""
+    for idx, line in enumerate(lines):
+        parts = line.split(" ")
+        for col in range(2, 4 + m):
+            for pos, original in enumerate(parts[col]):
+                for digit in "0123456789abcdef".replace(original, ""):
+                    field = parts[col][:pos] + digit + parts[col][pos + 1 :]
+                    mutated = " ".join(parts[:col] + [field] + parts[col + 1 :])
+                    yield idx, col, lines[:idx] + [mutated] + lines[idx + 1 :]
+        for delta in (1, -1):
+            mutated = f"{int(parts[0]) + delta} {line.split(' ', 1)[1]}"
+            yield idx, 0, lines[:idx] + [mutated] + lines[idx + 1 :]
+
+
+def test_verify_all_matches_verify_chain_on_every_mutant_that_loads():
+    """The mutants that load are the sweep's two blind spots, the genesis
+    key and the head owner, which nothing commits to."""
+    cfg = HashConfig(generator_count=1)
+    token = make_token("acceptance criterion two")
+    lines = [serialize_record(r) for r in build_records(cfg, token, "c2-passphrase", 5)]
+    loaded = set()
+    for idx, col, mutated in _mutants(lines, cfg.generator_count):
+        ledger = Ledger(cfg, None)
+        try:
+            ledger.replay(mutated)
+        except LoadError:
+            continue
+        loaded.add((idx, col))
+        assert_reports_match_verify_chain(ledger)
+    assert loaded == {(0, 2), (len(lines) - 1, 3 + cfg.generator_count)}
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_load_proves_each_link_once_and_verify_all_hashes_nothing(m, db, monkeypatch):
+    """m + 1 hashes per link at load, through the name the benchmark's
+    tracer rebinds; verify_all reports those proofs and hashes nothing."""
+    from tokenledger import chain
+
+    cfg = HashConfig(generator_count=m)
+    with Ledger(cfg, db) as ledger:
+        fill(ledger, cfg, S, "pw", 6)
+        fill(ledger, cfg, make_token("second"), "pw-2", 3)
+    calls = []
+    counted = chain.canonical_hash
+    monkeypatch.setattr(chain, "canonical_hash", lambda *a: calls.append(a) or counted(*a))
+    with Ledger(cfg, db) as loaded:
+        assert len(calls) == (m + 1) * (5 + 2)
+        calls.clear()
+        reports = loaded.verify_all()
+    assert calls == []
+    assert [len(reports[token].verdicts) for token in (S, make_token("second"))] == [5, 2]
 
 
 # -- persistence -------------------------------------------------------------------

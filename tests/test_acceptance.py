@@ -9,7 +9,13 @@ import time
 import pytest
 
 import oracle
-from conftest import as_chain, build_records, make_token, wait_until
+from conftest import (
+    as_chain,
+    assert_stored_chains_verify,
+    build_records,
+    make_token,
+    wait_until,
+)
 from tokenledger import (
     HashConfig,
     KeyMaterial,
@@ -323,8 +329,7 @@ def test_criterion_4_convergence(server_factory):
         cluster.assert_identical(tokens)
         assert all(s.divergence == 0 for s in cluster.servers), "false divergence"
         for server in cluster.servers:
-            for token, report in server.ledger.verify_all().items():
-                assert report.ok
+            assert_stored_chains_verify(server.ledger)
     finally:
         cluster.close()
     _announce(4, f"convergence-3x50x{trials}", started, budget=120.0)
@@ -403,8 +408,7 @@ def test_criterion_5_fault_tolerance(server_factory, tmp_path):
             for peer in survivors:
                 if peer is not server:
                     server.sync_token(token, peer.address)
-        for token, report in server.ledger.verify_all().items():
-            assert report.ok
+        assert_stored_chains_verify(server.ledger)
     probe = tokens[0]
     lines = [serialize_record(r) for r in survivors[0].ledger.get_chain(probe)]
     first_owner_lines = oracle.build_chain(probe, "c5-owner-0", 1, m=1)
@@ -534,7 +538,7 @@ def test_criterion_8_durability(tmp_path):
         with Ledger(cfg, crash) as survivor:
             got = [r.seq for r in survivor.get_chain(token)]
             assert got == list(range(k)), f"boundary {k} not a clean prefix"
-            assert survivor.verify_all()[token].ok
+            assert verify_chain(cfg, survivor.token_chain(token)).ok
         # a torn write inside the (k+1)-th record loses only that record
         if k < 100:
             cut = boundary + rng.randrange(1, boundaries[k] - boundary)

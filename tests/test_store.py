@@ -4,7 +4,13 @@ import threading
 
 import pytest
 
-from conftest import as_chain, build_records, dir_synced_after_replace, make_token
+from conftest import (
+    as_chain,
+    assert_stored_chains_verify,
+    build_records,
+    dir_synced_after_replace,
+    make_token,
+)
 from tokenledger import (
     HashConfig,
     KeyMaterial,
@@ -141,8 +147,7 @@ def test_gate_soundness_under_fuzz(cfg, db):
                     owner=base.owner,
                 )
                 assert ledger.append(junk).status in ("rejected", "duplicate")
-        for token, report in ledger.verify_all().items():
-            assert report.ok, token
+        assert_stored_chains_verify(ledger)
 
 
 # -- reads ----------------------------------------------------------------------
@@ -202,7 +207,7 @@ def test_compacted_file_reloads_and_reports_pruned(cfg, db):
     with Ledger(cfg, db) as reloaded:
         assert [r.seq for r in reloaded.get_chain(S)] == [4, 5]
         assert reloaded.get_record(S, 0) is PRUNED
-        assert reloaded.verify_all()[S].ok
+        assert verify_chain(cfg, reloaded.token_chain(S)).ok
 
 
 def test_compact_fsyncs_the_directory_after_the_rename(cfg, db, rename_log):
@@ -315,7 +320,7 @@ def test_reload_roundtrip(cfg, db):
         state = ledger.file_bytes()
     with Ledger(cfg, db) as again:
         assert again.file_bytes() == state
-        assert again.verify_all()[S].ok
+        assert verify_chain(cfg, again.token_chain(S)).ok
 
 
 def test_corrupted_digit_aborts_load_naming_line(cfg, db):
@@ -391,8 +396,7 @@ def test_concurrent_appends_different_tokens(cfg, db):
         for token in chains:
             assert len(ledger.get_chain(token)) == 15
     with Ledger(cfg, db) as reloaded:
-        for token, report in reloaded.verify_all().items():
-            assert report.ok
+        assert_stored_chains_verify(reloaded)
 
 
 def test_compact_keeps_a_genesis_written_during_it(cfg, db, monkeypatch):

@@ -253,13 +253,16 @@ class WireClient:
 
 
 class _Notifier:
-    """Per-peer bounded fan-out queue; oldest entries dropped when full."""
+    """Per-peer bounded fan-out queue over one kept-open connection; oldest
+    entries dropped when full. The connection opens with the first record
+    and closes when the sentinel ends the thread."""
 
     def __init__(self, server: "LedgerServer", address: str, buffer_size: int):
         self.server = server
         self.address = address
         self.queue: queue.Queue[str | None] = queue.Queue(maxsize=buffer_size)
         self.dropped = 0
+        self._client: WireClient | None = None
         self.thread = threading.Thread(
             target=self._run, name=f"notify-{address}", daemon=True
         )
@@ -279,11 +282,32 @@ class _Notifier:
                     pass
 
     def _run(self) -> None:
+        try:
+            while (line := self.queue.get()) is not None:
+                self.server._mark_peer(self.address, lambda: self._add(line))
+        finally:
+            self._disconnect()
+
+    def _add(self, line: str) -> str:
+        """ADD one record line to the peer. A request that fails on a reused
+        connection is sent once more on a fresh one (the peer may have
+        restarted); ADD is idempotent, so a record that got through the
+        first time comes back OK duplicate."""
         while True:
-            line = self.queue.get()
-            if line is None:
-                return
-            self.server._ask_peer(self.address, lambda client: client.add(line))
+            fresh = self._client is None
+            if fresh:
+                self._client = WireClient(self.address, timeout=PEER_TIMEOUT)
+            try:
+                return self._client.add(line)
+            except (OSError, WireError):
+                self._disconnect()
+                if fresh:
+                    raise
+
+    def _disconnect(self) -> None:
+        if self._client is not None:
+            self._client.close()
+            self._client = None
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -473,8 +497,9 @@ class LedgerServer:
 
         Returns the ADD reply. A record the gate accepts is passed on to the
         peers. A conflict counts as divergence only when the slot is still
-        retained here and holds other bytes: a slot below this node's
-        history window says nothing about whether the records agree.
+        retained here (the gate names a conflict only for a slot that holds
+        other bytes): a slot below this node's history window says nothing
+        about whether the records agree.
         """
         try:
             record = parse_record(self.cfg, record_line)
@@ -489,7 +514,7 @@ class LedgerServer:
         assert result.reason is not None
         if result.reason in CONFLICT_REASONS:
             local = self.ledger.get_record(record.token, record.seq)
-            if isinstance(local, Record) and local != record:
+            if isinstance(local, Record):
                 with self._counter_lock:
                     self.divergence += 1
         return f"ERR {result.reason}"
@@ -540,14 +565,22 @@ class LedgerServer:
     # -- peer maintenance ---------------------------------------------------
 
     def _ask_peer(self, address: str, request: Callable[[WireClient], T]) -> T | None:
-        """Send one request to a peer on a fresh connection; mark the peer by the outcome.
+        """Send one request to a peer on a fresh connection; mark the peer by the outcome."""
 
-        Returns the request's result, or None once the failure is marked. A
+        def once() -> T:
+            with WireClient(address, timeout=PEER_TIMEOUT) as client:
+                return request(client)
+
+        return self._mark_peer(address, once)
+
+    def _mark_peer(self, address: str, attempt: Callable[[], T]) -> T | None:
+        """Run one attempt at a request to a peer; mark the peer by the outcome.
+
+        Returns the attempt's result, or None once the failure is marked. A
         result of False (a PING not answered with pong) is a failure too.
         """
         try:
-            with WireClient(address, timeout=PEER_TIMEOUT) as client:
-                result = request(client)
+            result = attempt()
         except (OSError, WireError):
             result = False
         if result is False:

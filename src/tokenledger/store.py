@@ -49,10 +49,6 @@ class AppendResult:
     status: str  # "added" | "duplicate" | "rejected"
     reason: str | None = None
 
-    @property
-    def accepted(self) -> bool:
-        return self.status in ("added", "duplicate")
-
 
 ADDED = AppendResult("added")
 DUPLICATE = AppendResult("duplicate")

@@ -1,6 +1,8 @@
+import gc
 import random
 import socket
 import threading
+import warnings
 from collections import defaultdict
 
 import pytest
@@ -203,16 +205,22 @@ def test_notification_fanout_and_delivery(cfg, server_factory):
     c = server_factory(name="c", peers=(a.address, b.address))
     a.peers.add_static(b.address)
     a.peers.add_static(c.address)
-    records = build_records(cfg, S, "pw", 3)
+    records = build_records(cfg, S, "pw", 4)
     targets = a.notify_peers("warmup-noop")  # fanout arithmetic
     assert sorted(targets) == sorted([b.address, c.address])
-    push_chain(a, records)
+    push_chain(a, records, upto=3)
     assert wait_until(lambda: len(b.ledger.get_chain(S)) == 3), "b never caught up"
     assert wait_until(lambda: len(c.ledger.get_chain(S)) == 3), "c never caught up"
-    # duplicate notify: peers answer OK duplicate, nothing breaks
-    a.notify_peers(serialize_record(records[-1]))
-    assert wait_until(lambda: a.notify_backlog() == 0)
-    assert b.peers.get_state(a.address) is None or True  # no error state introduced
+    # duplicate notify: peers answer OK duplicate over the kept-open
+    # connection, which counts as success; the next record, queued behind
+    # it, shows that it has been answered
+    a.notify_peers(serialize_record(records[2]))
+    push_chain(a, records[3:])
+    assert wait_until(lambda: len(b.ledger.get_chain(S)) == 4), "b never caught up"
+    assert wait_until(lambda: len(c.ledger.get_chain(S)) == 4), "c never caught up"
+    assert a.peers.get_state(b.address) == ALIVE
+    assert a.peers.get_state(c.address) == ALIVE
+    assert a.notify_dropped() == 0
 
 
 def test_down_peer_marked_suspect_others_unaffected(cfg, server_factory):
@@ -226,6 +234,70 @@ def test_down_peer_marked_suspect_others_unaffected(cfg, server_factory):
     assert wait_until(lambda: len(b.ledger.get_chain(S)) == 2)
     assert wait_until(lambda: a.peers.get_state(dead_address) in (SUSPECT, DEAD))
     assert a.peers.get_state(b.address) == ALIVE
+
+
+def test_notified_records_share_one_connection(cfg, server_factory, monkeypatch):
+    """50 records reach the peer over the one connection A's notifier keeps open."""
+    b = server_factory(name="b")
+    accepted = []  # the client address of each connection b accepts
+    process_request = b._tcp.process_request
+
+    def counting(request, client_address):
+        accepted.append(client_address)
+        process_request(request, client_address)
+
+    monkeypatch.setattr(b._tcp, "process_request", counting)
+    a = server_factory(name="a", peers=(b.address,), probe_interval=30)  # no probes
+    records = build_records(cfg, S, "pw", 50)
+    push_chain(a, records)
+    assert wait_until(lambda: len(b.ledger.get_chain(S)) == 50), "b never caught up"
+    assert len(accepted) == 1
+    assert a.peers.get_state(b.address) == ALIVE
+
+
+def test_notifier_reconnects_to_a_restarted_peer(cfg, server_factory, tmp_path):
+    """The first record after the peer restarts fails on the kept-open
+    connection, is sent again on a fresh one, and the peer stays alive."""
+    ledger = Ledger(cfg, tmp_path / "restarted.db")
+    b = LedgerServer(ledger, probe_interval=30).start()
+    try:
+        a = server_factory(name="a", peers=(b.address,), probe_interval=30)
+        records = build_records(cfg, S, "pw", 2)
+        push_chain(a, records, upto=1)
+        assert wait_until(lambda: len(ledger.get_chain(S)) == 1)
+        b.shutdown()
+        b = LedgerServer(ledger, listen=b.address, probe_interval=30).start()
+        push_chain(a, records[1:])
+        assert wait_until(lambda: len(ledger.get_chain(S)) == 2), "record lost on reconnect"
+        assert a.peers.get_state(b.address) == ALIVE
+    finally:
+        b.shutdown()
+        ledger.close()
+
+
+@pytest.mark.parametrize("ending", ["peer leaves the table", "server stops"])
+def test_notifier_connection_closes_with_its_notifier(cfg, server_factory, ending):
+    b = server_factory(name="b")
+    a = server_factory(name="a", probe_interval=30)
+    record = build_records(cfg, S, "pw", 1)[0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        a.peers.max_size = 1
+        assert a.peers.learn(b.address, "test")
+        a.peers.mark_success(b.address)
+        a.notify_peers(serialize_record(record))
+        assert wait_until(lambda: len(b.ledger.get_chain(S)) == 1)
+        assert len(b._tcp.connections) == 1
+        if ending == "server stops":
+            a.shutdown()
+        else:
+            newcomer = "127.0.0.1:1"  # nothing listens there
+            assert a.peers.learn(newcomer, "test")  # evicts b from the 1-entry table
+            a.peers.mark_success(newcomer)
+            a.notify_peers("line for the newcomer")  # starting its notifier retires b's
+        assert wait_until(lambda: not b._tcp.connections), "notifier connection left open"
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 # -- sync ---------------------------------------------------------------------

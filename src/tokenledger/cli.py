@@ -9,6 +9,7 @@ reboots; the printed OFFER/COUNTER lines are relayed over any channel.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import getpass
 import hashlib
 import logging
@@ -24,7 +25,7 @@ from . import wallet
 from .chain import RecordFormatError, TokenChain, parse_record, serialize_record, verify_chain
 from .hashing import EncodingError, validate_digest
 from .network import LedgerServer, WireClient, WireError
-from .store import SETTINGS, Ledger, LoadError, StoreConfig, read_lines, replace_durably
+from .store import SETTINGS, Ledger, LoadError, StoreConfig, read_lines, write_durably
 
 PASSPHRASE_ENV = "TOKENLEDGER_PASSPHRASE"
 
@@ -89,7 +90,9 @@ def _wire_add(client: WireClient, record) -> str:
 
 
 class _SessionFile:
-    """Exclusive claim on one (role, token) transfer session."""
+    """Exclusive claim on one (role, token) transfer session: an flock, which
+    ends with the process however it ends. The lock file is never unlinked,
+    since unlinking a locked path lets two claimants lock different inodes."""
 
     def __init__(self, state_dir: str, role: str, token: str):
         self.dir = Path(state_dir)
@@ -97,23 +100,23 @@ class _SessionFile:
         self.role = role
         self.path = self.dir / f"{role}-{token}.session"
         self.lock_path = self.path.with_suffix(".session.lock")
-        self._lock_fd: int | None = None
 
     def __enter__(self) -> "_SessionFile":
+        fd = os.open(self.lock_path, os.O_CREAT | os.O_WRONLY)
         try:
-            self._lock_fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(fd)
             raise CliError(
                 f"another invocation holds the session for this token "
                 f"({self.lock_path})",
                 E_USAGE,
             )
+        self._lock_fd = fd
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._lock_fd is not None:
-            os.close(self._lock_fd)
-            os.unlink(self.lock_path)
+        os.close(self._lock_fd)  # releases the flock
 
     def load(self) -> wallet.TransferSession:
         if not self.path.exists():
@@ -125,12 +128,7 @@ class _SessionFile:
 
     def save(self, session: wallet.TransferSession) -> None:
         """Replace the session file atomically: a crash leaves the old or the new."""
-        tmp = self.path.with_suffix(".session.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(session.to_text())
-            fh.flush()
-            os.fsync(fh.fileno())
-        replace_durably(tmp, self.path)
+        write_durably(self.path, [session.to_text()])
 
     def refuse_if_in_progress(self) -> None:
         """Starting a new session must not overwrite an unfinished one."""

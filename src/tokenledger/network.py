@@ -32,9 +32,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
-from .chain import Record, RecordFormatError, parse_record, parse_seq, serialize_record
+from .chain import RecordFormatError, parse_record, parse_seq, serialize_record
 from .hashing import HashConfig, is_digest
-from .store import CONFLICT_REASONS, Ledger, PRUNED
+from .store import Ledger, PRUNED
 
 logger = logging.getLogger(__name__)
 
@@ -496,10 +496,10 @@ class LedgerServer:
         """Run one record line through the gate, from a client or a peer.
 
         Returns the ADD reply. A record the gate accepts is passed on to the
-        peers. A conflict counts as divergence only when the slot is still
-        retained here (the gate names a conflict only for a slot that holds
-        other bytes): a slot below this node's history window says nothing
-        about whether the records agree.
+        peers. A rejection counts as divergence when the gate finds the slot
+        still retained here with other bytes (result.conflict), decided under
+        the token lock with the verdict: a slot below this node's history
+        window says nothing about whether the records agree.
         """
         try:
             record = parse_record(self.cfg, record_line)
@@ -512,11 +512,9 @@ class LedgerServer:
         if result.status == "duplicate":
             return "OK duplicate"
         assert result.reason is not None
-        if result.reason in CONFLICT_REASONS:
-            local = self.ledger.get_record(record.token, record.seq)
-            if isinstance(local, Record):
-                with self._counter_lock:
-                    self.divergence += 1
+        if result.conflict:
+            with self._counter_lock:
+                self.divergence += 1
         return f"ERR {result.reason}"
 
     # -- propagation --------------------------------------------------------

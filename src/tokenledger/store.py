@@ -1,11 +1,11 @@
 """Append-only record database: publishing gate, per-token indexes, pruning.
 
 The storage file is the database: newline-delimited canonical record lines,
-appended in acceptance order and fsynced before an append returns. Loading
-replays every line through the same gate, so the on-disk file is
-self-verifying, and each link is proved once, there. Pruning trims the
-in-memory window eagerly (per token, the head always survives); compact()
-rewrites the file to match.
+appended in acceptance order and fsynced before an append returns. An
+append and the load run every record through the same link rule, so the
+on-disk file is self-verifying, and each link is proved once, there.
+Pruning trims the in-memory window eagerly (per token, the head always
+survives); compact() rewrites the file to match.
 """
 from __future__ import annotations
 
@@ -38,8 +38,6 @@ GENESIS_EXISTS = "genesis-exists"
 WRONG_GENERATOR_COUNT = "wrong-generator-count"
 # a failed commitment is rejected under its link verdict: chain.BAD_O, chain.bad_g(j)
 
-CONFLICT_REASONS = (SEQ_OCCUPIED, GENESIS_EXISTS)
-
 # get_record result for a seq that existed but was discarded by retention.
 PRUNED = object()
 
@@ -48,14 +46,15 @@ PRUNED = object()
 class AppendResult:
     status: str  # "added" | "duplicate" | "rejected"
     reason: str | None = None
+    conflict: bool = False  # rejected at a slot still retained with other bytes
 
 
 ADDED = AppendResult("added")
 DUPLICATE = AppendResult("duplicate")
 
 
-def rejected(reason: str) -> AppendResult:
-    return AppendResult("rejected", reason)
+def rejected(reason: str, conflict: bool = False) -> AppendResult:
+    return AppendResult("rejected", reason, conflict)
 
 
 class LoadError(Exception):
@@ -125,15 +124,18 @@ class StoreConfig:
                 raise ValueError(f"{key}: {exc}") from None
         return cls(**values)  # type: ignore[arg-type]
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "StoreConfig":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
 
-
-def replace_durably(src: Path, dst: Path) -> None:
-    """os.replace, then fsync the directory so the rename survives power loss."""
-    os.replace(src, dst)
-    fd = os.open(dst.parent, os.O_RDONLY)
+def write_durably(path: Path, chunks: Iterable[str]) -> None:
+    """Replace path's content with chunks: write and fsync path + ".tmp",
+    os.replace it over path, then fsync the directory so the rename survives
+    power loss. A crash leaves the old content or the new, never a mix."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    fd = os.open(path.parent, os.O_RDONLY)
     try:
         os.fsync(fd)
     finally:
@@ -154,14 +156,10 @@ class _TokenState:
 
     __slots__ = ("records", "file_floor", "lock")
 
-    def __init__(self, history_depth: int | None):
+    def __init__(self, history_depth: int | None, file_floor: int = 0):
         self.records: deque[Record] = deque(maxlen=history_depth)
-        self.file_floor = 0
+        self.file_floor = file_floor
         self.lock = threading.Lock()
-
-    @property
-    def window_start(self) -> int:
-        return self.records[0].seq
 
 
 class Ledger:
@@ -201,21 +199,27 @@ class Ledger:
     # -- loading ---------------------------------------------------------
 
     def replay(self, lines: Iterable[str]) -> None:
-        """Run stored record lines through the gate, in order; raises
+        """Run stored record lines through the link rule, in order; raises
         LoadError naming the first line (from 1) that fails to parse or link.
-        Writes nothing: the lines are already stored."""
+        Writes nothing (the lines are already stored), so it only fills a
+        ledger no other thread can see yet, and takes no lock."""
         for line_no, line in enumerate(lines, start=1):
             try:
                 record = parse_record(self.cfg, line)
             except (RecordFormatError, ValueError) as exc:
                 raise LoadError(line_no, str(exc)) from exc
-            result = self._gate(record, trusted_replay=True)
-            if result.status == "rejected":
+            state = self._tokens.get(record.token)
+            if state is None:  # a compacted or depth-bounded file starts a token above 0
+                state = self._tokens[record.token] = _TokenState(self.history_depth, record.seq)
+            elif (result := self._rule(state.records, record)) is DUPLICATE:
+                continue
+            elif result is not None:
                 raise LoadError(
                     line_no,
                     f"record (token {record.token[:12]}..., seq {record.seq}) "
                     f"failed the gate: {result.reason}",
                 )
+            state.records.append(record)  # a bounded deque drops the oldest record
 
     # -- gate ------------------------------------------------------------
 
@@ -226,43 +230,41 @@ class Ledger:
                 state = self._tokens[token] = _TokenState(self.history_depth)
             return state
 
-    def _gate(self, record: Record, trusted_replay: bool = False) -> AppendResult:
-        """The linking rules for an already validated record."""
-        state = self._state(record.token, create=record.seq == 0 or trusted_replay)
+    def _rule(self, records: deque[Record], record: Record) -> AppendResult | None:
+        """The linking rules: None when the record extends the head, else its
+        verdict. Reads only the token's retained window and the record; takes
+        no lock, does no I/O and changes nothing."""
+        if not records:  # a token whose first append failed to persist
+            return None if record.seq == 0 else rejected(SEQ_GAP)
+        head = records[-1]
+        if record.seq <= head.seq:
+            offset = record.seq - records[0].seq
+            if offset >= 0 and records[offset] == record:
+                return DUPLICATE
+            reason = GENESIS_EXISTS if record.seq == 0 else SEQ_OCCUPIED
+            return rejected(reason, conflict=offset >= 0)
+        if record.seq > head.seq + 1:
+            return rejected(SEQ_GAP)
+        verdict = verify_link(self.cfg, head, record)
+        return None if verdict.ok else rejected(verdict.field)
+
+    def _gate(self, record: Record) -> AppendResult:
+        """The linking rules for an already validated record, applied live."""
+        state = self._state(record.token, create=record.seq == 0)
         if state is None:
             return rejected(SEQ_GAP)
         with state.lock:
-            records = state.records
-            if not records:
-                if record.seq == 0 or trusted_replay:
-                    # durable before visible: a failed write must not leave
-                    # phantom in-memory state
-                    self._persist(record, trusted_replay)
-                    records.append(record)
-                    state.file_floor = record.seq
-                    return ADDED
-                return rejected(SEQ_GAP)
-            head = records[-1]
-            if record.seq <= head.seq:
-                window_start = state.window_start
-                if record.seq >= window_start:
-                    existing = records[record.seq - window_start]
-                    if existing == record:
-                        return DUPLICATE
-                if record.seq == 0:
-                    return rejected(GENESIS_EXISTS)
-                return rejected(SEQ_OCCUPIED)
-            if record.seq > head.seq + 1:
-                return rejected(SEQ_GAP)
-            verdict = verify_link(self.cfg, head, record)
-            if not verdict.ok:
-                return rejected(verdict.field)
-            self._persist(record, trusted_replay)
-            records.append(record)  # a bounded deque drops the oldest record
+            result = self._rule(state.records, record)
+            if result is not None:
+                return result
+            # durable before visible: a failed write must not leave
+            # phantom in-memory state
+            self._persist(record)
+            state.records.append(record)  # a bounded deque drops the oldest record
             return ADDED
 
-    def _persist(self, record: Record, trusted_replay: bool) -> None:
-        if trusted_replay or self.path is None:
+    def _persist(self, record: Record) -> None:
+        if self.path is None:
             return
         with self._file_lock:
             if self._fh is None:
@@ -296,9 +298,8 @@ class Ledger:
             records = state.records
             if not records or seq > records[-1].seq:
                 return None
-            if seq < state.window_start:
-                return PRUNED
-            return records[seq - state.window_start]
+            offset = seq - records[0].seq
+            return records[offset] if offset >= 0 else PRUNED
 
     def get_chain(self, token: str) -> list[Record]:
         state = self._state(token)
@@ -317,9 +318,9 @@ class Ledger:
     def verify_all(self) -> dict[str, ChainReport]:
         """Each token's retained chain, reported as verify_chain would report it.
 
-        Nothing is hashed again. _gate is the only way a record enters a
-        token's records, and it proves verify_link(head, record) before
-        every append (at ADD, at sync and at replay); records are frozen, and
+        Nothing is hashed again. Every record after a token's first enters
+        its records through _rule, which proves verify_link(head, record)
+        first (at ADD, at sync and at load); records are frozen, and
         a bounded deque that drops its oldest record keeps every adjacent
         pair it holds. So every retained link has been proved once already.
         """
@@ -352,25 +353,24 @@ class Ledger:
                 discarded = [
                     (token, seq)
                     for token, state in retained
-                    for seq in range(state.file_floor, state.window_start)
+                    for seq in range(state.file_floor, state.records[0].seq)
                 ]
                 if not discarded:
                     return []
                 if self.path is not None:
                     with self._file_lock:
-                        tmp = self.path.with_suffix(self.path.suffix + ".compact")
-                        with open(tmp, "w", encoding="utf-8") as fh:
-                            for _token, state in retained:
-                                for record in state.records:
-                                    fh.write(serialize_record(record) + "\n")
-                            fh.flush()
-                            os.fsync(fh.fileno())
-                        if self._fh is not None:
-                            self._fh.close()
-                        replace_durably(tmp, self.path)
-                        self._fh = open(self.path, "a", encoding="utf-8")
+                        try:
+                            write_durably(self.path, (
+                                serialize_record(record) + "\n"
+                                for _token, state in retained
+                                for record in state.records
+                            ))
+                        finally:  # append to whatever file the path now names
+                            if self._fh is not None:
+                                self._fh.close()
+                            self._fh = open(self.path, "a", encoding="utf-8")
                 for _token, state in retained:
-                    state.file_floor = state.window_start
+                    state.file_floor = state.records[0].seq
                 return discarded
             finally:
                 for _token, state in reversed(states):

@@ -141,6 +141,15 @@ def test_verify_link_hashes_once_per_slot(m, monkeypatch):
     assert len(calls) == m + 1
 
 
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_validate_names_a_surplus_generator_count(m):
+    cfg = HashConfig(generator_count=m)
+    record = build_records(cfg, S, "pw", 1)[0]
+    extra = dataclasses.replace(record, generators=(*record.generators, record.owner))
+    with pytest.raises(RecordFormatError, match=f"expected {m} generator fields, got {m + 1}"):
+        extra.validate(cfg)
+
+
 def test_expected_fields_generator_count_mismatch(cfg):
     r = build_records(cfg, S, "pw", 2)
     short = dataclasses.replace(r[1], generators=())

@@ -1,4 +1,5 @@
 import dataclasses
+import fcntl
 import signal
 import socket
 import socketserver
@@ -458,12 +459,40 @@ def test_session_lock_rejects_concurrent_invocation(capsys, server, as_alice, tm
     token = make_cli_token(capsys, server.address, payload)
     state = tmp_path / "locked-state"
     state.mkdir()
-    (state / f"recipient-{token}.session.lock").touch()
-    code, _, err = run(
+    with open(state / f"recipient-{token}.session.lock", "w") as holder:
+        fcntl.flock(holder, fcntl.LOCK_EX)  # another invocation, mid-step
+        code, _, err = run(
+            capsys, "transfer", "offer", "--host", server.address, "--token", token,
+            "--state-dir", str(state),
+        )
+    assert code == 2 and "another invocation" in err
+
+
+def test_session_lock_left_by_a_killed_invocation_does_not_block(
+    capsys, server, as_alice, tmp_path
+):
+    """A process killed while it holds the session leaves its lock file,
+    but the kernel drops its flock, so the next invocation goes ahead."""
+    payload = tmp_path / "killed.bin"
+    payload.write_bytes(b"killed")
+    token = make_cli_token(capsys, server.address, payload)
+    state = tmp_path / "killed-state"
+    claim_and_die = (
+        "import os, signal, sys\n"
+        "from tokenledger.cli import _SessionFile\n"
+        "with _SessionFile(sys.argv[1], 'recipient', sys.argv[2]):\n"
+        "    os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", claim_and_die, str(state), token], timeout=30)
+    assert proc.returncode == -signal.SIGKILL
+    lock = state / f"recipient-{token}.session.lock"
+    assert lock.exists()
+    code, out, _ = run(
         capsys, "transfer", "offer", "--host", server.address, "--token", token,
         "--state-dir", str(state),
     )
-    assert code == 2 and "another invocation" in err
+    assert code == 0 and out.strip().splitlines()[-1].startswith("OFFER ")
+    assert lock.exists()  # kept, never unlinked
 
 
 def test_session_save_fsyncs_the_directory_after_the_rename(

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import os
 import random
 import threading
@@ -12,11 +14,13 @@ from conftest import (
     make_token,
 )
 from tokenledger import (
+    AppendResult,
     HashConfig,
     KeyMaterial,
     Ledger,
     LoadError,
     Record,
+    RecordFormatError,
     StoreConfig,
     self_extend,
     serialize_record,
@@ -110,6 +114,59 @@ def test_bad_owner_reason(db):
         flip = ("0" if good.key[0] != "0" else "1") + good.key[1:]
         bad = Record(seq=1, token=S, key=flip, generators=(), owner=good.owner)
         assert ledger.append(bad).reason == "bad-O"
+
+
+def test_append_checks_the_fields_of_a_hand_built_record(cfg, db):
+    """append is the library boundary: a record built by hand rather than
+    parsed gets the field check, and a refused one never reaches the file."""
+    records = build_records(cfg, S, "pw", 2)
+    newcomer = build_records(cfg, make_token("hand built"), "pw", 1)[0]
+    with Ledger(cfg, db) as ledger:
+        ledger.append(records[0])
+        before = ledger.file_bytes()
+        with pytest.raises(RecordFormatError, match=r"field 3 \(key\)"):
+            ledger.append(dataclasses.replace(newcomer, key="g" * 64))
+        oversize = dataclasses.replace(records[1], data="x" * (cfg.data_max_bytes + 1))
+        with pytest.raises(RecordFormatError, match=f"exceeds {cfg.data_max_bytes} bytes"):
+            ledger.append(oversize)
+        assert ledger.file_bytes() == before
+        assert ledger.tokens() == [S] and ledger.get_head(S) == records[0]
+
+
+def test_conflict_marks_a_rival_at_a_retained_slot_only(cfg, db):
+    mine = build_records(cfg, S, "pw", 4)
+    rival = build_records(cfg, S, "rival-pw", 6)
+    with Ledger(cfg, db) as ledger:
+        fill(ledger, cfg, S, "pw", 4)
+        assert ledger.append(rival[0]) == AppendResult("rejected", "genesis-exists", conflict=True)
+        assert ledger.append(rival[2]) == AppendResult("rejected", "seq-occupied", conflict=True)
+        assert ledger.append(mine[2]) == AppendResult("duplicate")
+        assert ledger.append(rival[5]) == AppendResult("rejected", "seq-gap")
+        assert ledger.append(rival[4]) == AppendResult("rejected", "bad-G(1)")
+
+
+def test_conflict_is_not_marked_below_a_bounded_window(cfg, db):
+    rival = build_records(cfg, S, "rival-pw", 6)
+    with Ledger(cfg, db, history_depth=2) as ledger:
+        fill(ledger, cfg, S, "pw", 6)  # retains seqs 4 and 5
+        assert ledger.append(rival[0]) == AppendResult("rejected", "genesis-exists")
+        assert ledger.append(rival[3]) == AppendResult("rejected", "seq-occupied")
+        assert ledger.append(rival[4]) == AppendResult("rejected", "seq-occupied", conflict=True)
+
+
+def test_link_rule_needs_no_file_lock_or_state(cfg):
+    """_rule reads a window and a record and changes nothing."""
+    mine = build_records(cfg, S, "pw", 4)
+    rival = build_records(cfg, S, "rival-pw", 2)
+    rule = Ledger(cfg, None)._rule
+    window = mine[1:3]
+    assert rule(window, mine[3]) is None
+    assert rule(window, mine[2]) == AppendResult("duplicate")
+    assert rule(window, rival[1]) == AppendResult("rejected", "seq-occupied", conflict=True)
+    assert rule(window, rival[0]) == AppendResult("rejected", "genesis-exists")
+    assert rule([], mine[0]) is None
+    assert rule([], mine[1]) == AppendResult("rejected", "seq-gap")
+    assert window == mine[1:3]
 
 
 def test_gate_soundness_under_fuzz(cfg, db):
@@ -210,6 +267,18 @@ def test_compacted_file_reloads_and_reports_pruned(cfg, db):
         assert verify_chain(cfg, reloaded.token_chain(S)).ok
 
 
+def test_compact_after_a_reload_discards_only_what_the_file_holds(cfg, db):
+    records = build_records(cfg, S, "pw", 7)
+    with Ledger(cfg, db, history_depth=2) as ledger:
+        for record in records[:6]:
+            ledger.append(record)
+        assert ledger.compact() == [(S, n) for n in range(4)]
+    with Ledger(cfg, db, history_depth=2) as reloaded:  # the file starts at seq 4
+        assert reloaded.compact() == []
+        assert reloaded.append(records[6]).status == "added"
+        assert reloaded.compact() == [(S, 4)]
+
+
 def test_compact_fsyncs_the_directory_after_the_rename(cfg, db, rename_log):
     with Ledger(cfg, db, history_depth=2) as ledger:
         fill(ledger, cfg, S, "pw", 4)
@@ -307,6 +376,39 @@ def test_load_proves_each_link_once_and_verify_all_hashes_nothing(m, db, monkeyp
 # -- persistence -------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("compacted", [False, True])
+@pytest.mark.parametrize("depth", [None, 3])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_load_answers_as_the_ledger_that_appended_live(m, depth, compacted, db):
+    """The load and the live gate run one link rule: a reloaded ledger
+    answers every read as the ledger that appended the records did."""
+    cfg = HashConfig(generator_count=m)
+    chains = [
+        build_records(cfg, make_token(f"load parity m{m} {t}"), f"pw-{t}", 2 + 3 * t)
+        for t in range(3)
+    ]
+    with Ledger(cfg, db, history_depth=depth) as live:
+        for row in itertools.zip_longest(*(chain[:-1] for chain in chains)):
+            for record in filter(None, row):  # tokens interleaved in the file
+                assert live.append(record).status == "added"
+        assert live.append(chains[2][-2]).status == "duplicate"  # writes no line
+        if compacted:
+            assert bool(live.compact()) == (depth is not None)
+    with Ledger(cfg, db, history_depth=depth) as loaded:
+        assert sorted(loaded.tokens()) == sorted(live.tokens())
+        answers = []
+        for chain in chains:
+            token = chain[0].token
+            assert loaded.get_chain(token) == live.get_chain(token)
+            assert loaded.get_head(token) == live.get_head(token) == chain[-2]
+            for seq in range(-1, len(chain) + 1):
+                answer = loaded.get_record(token, seq)
+                assert answer == live.get_record(token, seq), (token, seq)
+                answers.append(answer)
+            assert loaded.append(chain[-1]).status == "added"
+        assert (PRUNED in answers) == (depth is not None)
+
+
 def test_file_is_canonical_lines(cfg, db):
     with Ledger(cfg, db) as ledger:
         records = fill(ledger, cfg, S, "pw", 3, datas={1: "note one"})
@@ -321,6 +423,20 @@ def test_reload_roundtrip(cfg, db):
     with Ledger(cfg, db) as again:
         assert again.file_bytes() == state
         assert verify_chain(cfg, again.token_chain(S)).ok
+
+
+def test_load_skips_a_duplicate_line_and_names_a_rival_one(cfg):
+    mine = [serialize_record(r) for r in build_records(cfg, S, "pw", 3)]
+    rival = serialize_record(build_records(cfg, S, "rival-pw", 2)[1])
+    ledger = Ledger(cfg, None)
+    ledger.replay([mine[0], mine[1], mine[1], mine[2]])
+    assert [serialize_record(r) for r in ledger.get_chain(S)] == mine
+    with pytest.raises(LoadError) as caught:
+        Ledger(cfg, None).replay([mine[0], mine[1], rival])
+    assert caught.value.line_no == 3
+    assert str(caught.value) == (
+        f"line 3: record (token {S[:12]}..., seq 1) failed the gate: seq-occupied"
+    )
 
 
 def test_corrupted_digit_aborts_load_naming_line(cfg, db):
@@ -485,7 +601,7 @@ def test_store_config_parse_roundtrip(tmp_path):
     )
     path = tmp_path / "node.conf"
     path.write_text(text)
-    cfg = StoreConfig.from_file(path)
+    cfg = StoreConfig.from_text(path.read_text(encoding="utf-8"))
     assert cfg.generators == 2
     assert cfg.history_depth == 16
     assert cfg.peers == ("10.0.0.1:9440", "10.0.0.2:9440")

@@ -134,10 +134,9 @@ def test_append_checks_the_fields_of_a_hand_built_record(cfg, db):
 
 
 def test_conflict_marks_a_rival_at_a_retained_slot_only(cfg, db):
-    mine = build_records(cfg, S, "pw", 4)
     rival = build_records(cfg, S, "rival-pw", 6)
     with Ledger(cfg, db) as ledger:
-        fill(ledger, cfg, S, "pw", 4)
+        mine = fill(ledger, cfg, S, "pw", 4)
         assert ledger.append(rival[0]) == AppendResult("rejected", "genesis-exists", conflict=True)
         assert ledger.append(rival[2]) == AppendResult("rejected", "seq-occupied", conflict=True)
         assert ledger.append(mine[2]) == AppendResult("duplicate")

@@ -104,31 +104,16 @@ class TokenChain:
 
 
 @dataclass(frozen=True)
-class LinkVerdict:
-    """Outcome of checking one adjacent record pair.
-
-    field names the first failure: "seq", or the gate's reason for a
-    failed commitment, bad-G(j) or bad-O. verify_chain adds "token" and
-    "format".
-    """
-
-    prev_seq: int
-    ok: bool
-    field: str | None = None
-
-
-@dataclass(frozen=True)
 class ChainReport:
+    """A chain's verdict: failure is the first failing link's (prev_seq,
+    name), or None when every link holds."""
+
     token: str
-    ok: bool
-    verdicts: tuple[LinkVerdict, ...]
+    failure: tuple[int, str] | None = None
 
     @property
-    def first_failure(self) -> LinkVerdict | None:
-        for v in self.verdicts:
-            if not v.ok:
-                return v
-        return None
+    def ok(self) -> bool:
+        return self.failure is None
 
 
 def serialize_record(record: Record) -> str:
@@ -210,14 +195,15 @@ def commitment(cfg: HashConfig, token: str, seq: int, height: int, value: str) -
     return value
 
 
-def verify_link(cfg: HashConfig, prev: Record, nxt: Record) -> LinkVerdict:
-    """Accept iff nxt extends prev under the linking rules, byte-exact."""
+def verify_link(cfg: HashConfig, prev: Record, nxt: Record) -> str | None:
+    """None iff nxt extends prev under the linking rules, byte-exact; else
+    the first failure's name: "seq", or the gate's reason bad-G(j) or bad-O."""
     if prev.token != nxt.token:
         raise TokenMismatchError(
             f"records for different tokens: {prev.token} vs {nxt.token}"
         )
     if nxt.seq != prev.seq + 1:
-        return LinkVerdict(prev_seq=prev.seq, ok=False, field="seq")
+        return "seq"
     m = cfg.generator_count
     if not len(prev.generators) == len(nxt.generators) == m:
         raise ValueError(
@@ -228,22 +214,22 @@ def verify_link(cfg: HashConfig, prev: Record, nxt: Record) -> LinkVerdict:
     slots = (*prev.generators, prev.owner)
     for j, (have, value) in enumerate(zip(slots, (nxt.key, *nxt.generators)), start=1):
         if have != commitment(cfg, prev.token, prev.seq, 1, value):
-            return LinkVerdict(prev_seq=prev.seq, ok=False, field=BAD_O if j > m else bad_g(j))
-    return LinkVerdict(prev_seq=prev.seq, ok=True)
+            return BAD_O if j > m else bad_g(j)
+    return None
 
 
 def verify_chain(cfg: HashConfig, chain: TokenChain) -> ChainReport:
-    """Per-link verdicts for a whole chain; empty and single-record chains pass."""
+    """A whole chain's verdict, stopping at the first failing link; empty and
+    single-record chains pass. A link that verify_link refuses to compare is
+    named "token" or "format"."""
     records = chain.records
-    verdicts: list[LinkVerdict] = []
-    ok = True
     for prev, nxt in zip(records, records[1:]):
         try:
-            verdict = verify_link(cfg, prev, nxt)
+            failure = verify_link(cfg, prev, nxt)
         except TokenMismatchError:
-            verdict = LinkVerdict(prev_seq=prev.seq, ok=False, field="token")
+            failure = "token"
         except ValueError:
-            verdict = LinkVerdict(prev_seq=prev.seq, ok=False, field="format")
-        verdicts.append(verdict)
-        ok = ok and verdict.ok
-    return ChainReport(token=chain.token, ok=ok, verdicts=tuple(verdicts))
+            failure = "format"
+        if failure is not None:
+            return ChainReport(chain.token, (prev.seq, failure))
+    return ChainReport(chain.token)

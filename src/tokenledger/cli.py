@@ -223,8 +223,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"ok {token} ({window})")
         else:
             failures += 1
-            bad = report.first_failure
-            print(f"FAIL {token} seq {bad.prev_seq} {bad.field}")
+            prev_seq, failure = report.failure
+            print(f"FAIL {token} seq {prev_seq} {failure}")
     print(f"{len(results)} tokens")
     return E_FAIL if failures else E_OK
 

@@ -19,7 +19,6 @@ from typing import Iterable
 
 from .chain import (
     ChainReport,
-    LinkVerdict,
     Record,
     RecordFormatError,
     TokenChain,
@@ -167,7 +166,9 @@ class Ledger:
 
     Appends for one token are serialized; different tokens proceed in
     parallel. File writes are ordered by a separate lock and fsynced, so an
-    accepted record is durable before append() returns.
+    accepted record is durable before append() returns. After a write or
+    fsync fails, every append that would write raises until the ledger is
+    reopened; reads go on.
     """
 
     def __init__(self, cfg: HashConfig, path: str | Path | None, history_depth: int | None = None):
@@ -180,6 +181,7 @@ class Ledger:
         self._registry_lock = threading.Lock()
         self._file_lock = threading.Lock()
         self._fh = None
+        self._write_failed = False
         if self.path is not None:
             if self.path.exists():
                 lines, torn = read_lines(self.path)
@@ -245,8 +247,8 @@ class Ledger:
             return rejected(reason, conflict=offset >= 0)
         if record.seq > head.seq + 1:
             return rejected(SEQ_GAP)
-        verdict = verify_link(self.cfg, head, record)
-        return None if verdict.ok else rejected(verdict.field)
+        failure = verify_link(self.cfg, head, record)
+        return None if failure is None else rejected(failure)
 
     def _gate(self, record: Record) -> AppendResult:
         """The linking rules for an already validated record, applied live."""
@@ -264,14 +266,24 @@ class Ledger:
             return ADDED
 
     def _persist(self, record: Record) -> None:
+        """Write, flush and fsync the record's line. Once one of those has
+        raised, the line may or may not be in the file, and a failed fsync
+        leaves the page cache no guide to what reached the disk; so nothing
+        more is written, and only a reload learns what the file holds."""
         if self.path is None:
             return
         with self._file_lock:
             if self._fh is None:
                 raise RuntimeError("ledger is closed")
-            self._fh.write(serialize_record(record) + "\n")
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
+            if self._write_failed:
+                raise RuntimeError("a write to the ledger file failed; reopen the ledger to append")
+            try:
+                self._fh.write(serialize_record(record) + "\n")
+                self._fh.flush()
+                os.fsync(self._fh.fileno())
+            except BaseException:
+                self._write_failed = True
+                raise
 
     def append(self, record: Record) -> AppendResult:
         """Validate the record and run the publishing gate; durable before
@@ -324,12 +336,7 @@ class Ledger:
         a bounded deque that drops its oldest record keeps every adjacent
         pair it holds. So every retained link has been proved once already.
         """
-        reports = {}
-        for token in self.tokens():
-            records = self.get_chain(token)
-            verdicts = tuple(LinkVerdict(prev_seq=prev.seq, ok=True) for prev in records[:-1])
-            reports[token] = ChainReport(token=token, ok=True, verdicts=verdicts)
-        return reports
+        return {token: ChainReport(token) for token in self.tokens()}
 
     # -- size control ----------------------------------------------------
 

@@ -147,9 +147,9 @@ def _extend(
     record = Record(
         seq=seq, token=km.token, key=km.key(seq), generators=gens, owner=owner, data=data
     ).validate(cfg)
-    verdict = verify_link(cfg, head, record)
-    if not verdict.ok:
-        raise TransferProtocolError(f"{what} fails the link check at {verdict.field}")
+    failure = verify_link(cfg, head, record)
+    if failure is not None:
+        raise TransferProtocolError(f"{what} fails the link check at {failure}")
     return record
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import stat
@@ -42,6 +43,13 @@ def build_records(cfg, token, passphrase, length, datas=None):
 
 def as_chain(token, records):
     return TokenChain(token=token, records=tuple(records))
+
+
+def rival_copies(record):
+    """Copies of record that keep its seq, key and generators and change
+    only the owner, or only the data."""
+    flipped = ("0" if record.owner[0] != "0" else "1") + record.owner[1:]
+    return [dataclasses.replace(record, owner=flipped), dataclasses.replace(record, data="rival note")]
 
 
 def assert_stored_chains_verify(ledger):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from conftest import as_chain, build_records, make_token
 from tokenledger import (
+    ChainReport,
     HashConfig,
     KeyMaterial,
     Record,
@@ -123,7 +124,7 @@ def test_expected_fields_round_trips_construction(m):
     nxt = Record(seq=5, token=S, key=keys[0], generators=next_gens, owner=next_owner)
     expected = [commitment(cfg, S, 4, 1, value) for value in (keys[0], *next_gens)]
     assert expected == [*prev_gens, prev_owner]
-    assert verify_link(cfg, prev, nxt).ok
+    assert verify_link(cfg, prev, nxt) is None
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
@@ -137,7 +138,7 @@ def test_verify_link_hashes_once_per_slot(m, monkeypatch):
     calls = []
     counted = chain.canonical_hash
     monkeypatch.setattr(chain, "canonical_hash", lambda *a: calls.append(a) or counted(*a))
-    assert verify_link(cfg, prev, nxt).ok
+    assert verify_link(cfg, prev, nxt) is None
     assert len(calls) == m + 1
 
 
@@ -157,7 +158,7 @@ def test_expected_fields_generator_count_mismatch(cfg):
         verify_link(cfg, r[0], short)
     with pytest.raises(ValueError, match="generator count"):
         verify_link(cfg, dataclasses.replace(r[0], generators=()), r[1])
-    assert verify_chain(cfg, as_chain(S, [r[0], short])).first_failure.field == "format"
+    assert verify_chain(cfg, as_chain(S, [r[0], short])).failure == (0, "format")
 
 
 # -- verify_link / verify_chain ---------------------------------------------
@@ -165,14 +166,13 @@ def test_expected_fields_generator_count_mismatch(cfg):
 
 def test_honest_link_accepts(cfg):
     r = build_records(cfg, S, "pw", 3)
-    assert verify_link(cfg, r[0], r[1]).ok
-    assert verify_link(cfg, r[1], r[2]).ok
+    assert verify_link(cfg, r[0], r[1]) is None
+    assert verify_link(cfg, r[1], r[2]) is None
 
 
 def test_seq_gap_rejected(cfg):
     r = build_records(cfg, S, "pw", 3)
-    verdict = verify_link(cfg, r[0], r[2])
-    assert not verdict.ok and verdict.field == "seq"
+    assert verify_link(cfg, r[0], r[2]) == "seq"
 
 
 def test_flipped_next_key_rejects_first_generator(cfg):
@@ -182,8 +182,7 @@ def test_flipped_next_key_rejects_first_generator(cfg):
         seq=r[1].seq, token=S, key=flipped + r[1].key[1:],
         generators=r[1].generators, owner=r[1].owner,
     )
-    verdict = verify_link(cfg, r[0], bad)
-    assert not verdict.ok and verdict.field == "bad-G(1)"
+    assert verify_link(cfg, r[0], bad) == "bad-G(1)"
 
 
 def test_flipped_last_generator_rejects_owner(cfg):
@@ -191,8 +190,7 @@ def test_flipped_last_generator_rejects_owner(cfg):
     g = r[1].generators[-1]
     flipped = ("f" if g[0] != "f" else "0") + g[1:]
     bad = Record(seq=r[1].seq, token=S, key=r[1].key, generators=(flipped,), owner=r[1].owner)
-    verdict = verify_link(cfg, r[0], bad)
-    assert not verdict.ok and verdict.field == "bad-O"
+    assert verify_link(cfg, r[0], bad) == "bad-O"
 
 
 def test_token_mismatch_is_an_error_not_a_verdict(cfg):
@@ -203,12 +201,20 @@ def test_token_mismatch_is_an_error_not_a_verdict(cfg):
         verify_link(cfg, r[0], foreign)
 
 
-def test_verify_chain_constructive_100(cfg):
+def test_verify_chain_constructive_100(cfg, monkeypatch):
+    from tokenledger import chain as chain_module
+
     records = build_records(cfg, S, "pw-100", 100)
     chain = as_chain(S, records)
     assert len(chain) == 100  # bench's transfer op checks a chain's length this way
+    links = []
+    checked = chain_module.verify_link
+    monkeypatch.setattr(
+        chain_module, "verify_link", lambda c, prev, nxt: links.append(prev.seq) or checked(c, prev, nxt)
+    )
     report = verify_chain(cfg, chain)
-    assert report.ok and len(report.verdicts) == 99
+    assert report.ok and report.failure is None
+    assert links == list(range(99))
 
 
 def test_verify_chain_empty_and_single_pass(cfg):
@@ -225,10 +231,36 @@ def test_verify_chain_owner_swap_fails_at_the_right_link(cfg):
     records[50] = swapped
     report = verify_chain(cfg, as_chain(S, records))
     assert not report.ok
-    bad = report.first_failure
-    assert bad.prev_seq == 50 and bad.field == "bad-O"
+    assert report.failure == (50, "bad-O")
     # the link 49 -> 50 is untouched: record 50's owner is not checked there
-    assert report.verdicts[49].ok
+    assert verify_link(cfg, records[49], records[50]) is None
+
+
+@pytest.mark.parametrize("later_failure", [False, True])
+@pytest.mark.parametrize("name", ["seq", "token", "format", "bad-G(1)", "bad-O"])
+def test_verify_chain_names_the_first_failing_link_and_stops(cfg, name, later_failure, monkeypatch):
+    from tokenledger import chain as chain_module
+
+    records = build_records(cfg, S, "pw-first", 6)
+    r3 = records[3]
+    flip = lambda digest: ("0" if digest[0] != "0" else "1") + digest[1:]
+    broken = {
+        "seq": records[4],
+        "token": build_records(cfg, make_token("foreign"), "pw", 4)[3],
+        "format": dataclasses.replace(r3, generators=()),
+        "bad-G(1)": dataclasses.replace(r3, key=flip(r3.key)),
+        "bad-O": dataclasses.replace(r3, generators=(flip(r3.generators[0]),)),
+    }[name]
+    tail = [records[4], dataclasses.replace(records[5], key=flip(records[5].key))]
+    chain = as_chain(S, records[:3] + [broken] + (tail if later_failure else []))
+    links = []
+    checked = chain_module.verify_link
+    monkeypatch.setattr(
+        chain_module, "verify_link", lambda c, prev, nxt: links.append(prev.seq) or checked(c, prev, nxt)
+    )
+    report = verify_chain(cfg, chain)
+    assert report == ChainReport(S, (2, name)) and not report.ok
+    assert links == [0, 1, 2]
 
 
 def test_data_never_affects_verdicts(cfg):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import socket
@@ -7,8 +8,9 @@ from collections import defaultdict
 
 import pytest
 
-from conftest import as_chain, build_records, make_token, wait_until
+from conftest import as_chain, build_records, make_token, rival_copies, wait_until
 from tokenledger import (
+    HashConfig,
     Ledger,
     Record,
     WireClient,
@@ -80,6 +82,42 @@ def test_add_validates_and_reports_gate_reasons(cfg, server_factory):
         assert client.add(serialize_record(bad)) == "ERR bad-G(1)"
         assert client.add("complete garbage") == "ERR bad-request"
         assert client.add(serialize_record(good)) == "OK added"
+
+
+@pytest.mark.parametrize("seq", [0, 2, 4])  # the genesis, a middle record, the head
+def test_add_of_a_copy_that_keeps_the_key_is_a_conflict(cfg, server_factory, seq):
+    """A copy of a held record that differs only in its owner or only in its
+    data is a rival at a retained slot: refused and counted as divergence."""
+    server = server_factory()
+    records = build_records(cfg, S, "pw", 5)
+    push_chain(server, records)
+    before = server.ledger.file_bytes()
+    reason = "genesis-exists" if seq == 0 else "seq-occupied"
+    with WireClient(server.address) as client:
+        for count, copy in enumerate(rival_copies(records[seq]), start=1):
+            assert client.add(serialize_record(copy)) == f"ERR {reason}"
+            assert server.divergence == count
+    assert server.ledger.file_bytes() == before
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_add_reads_a_wrong_generator_count_by_position(server_factory, m):
+    """ADD never answers wrong-generator-count, because a line carries no
+    count of its own: one digest short is a bad request, and one surplus
+    digest is read as the owner, with the real owner taken as the data."""
+    cfg = HashConfig(generator_count=m)
+    server = server_factory(cfg=cfg)
+    records = build_records(cfg, S, "pw", 2)
+    fields = serialize_record(records[1]).split(" ")  # N S K G_1 .. G_m O
+    surplus = make_token("surplus generator")
+    with WireClient(server.address) as client:
+        assert client.add(serialize_record(records[0])) == "OK added"
+        short = fields[: 2 + m] + fields[3 + m :]  # drops G_m (K when m = 0)
+        assert client.add(" ".join(short)) == "ERR bad-request"
+        extra = fields[: 3 + m] + [surplus] + fields[3 + m :]
+        assert client.add(" ".join(extra)) == "OK added"
+    stored = dataclasses.replace(records[1], owner=surplus, data=records[1].owner)
+    assert server.ledger.get_head(S) == stored
 
 
 def test_add_is_durable_before_response(cfg, server_factory):

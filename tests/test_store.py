@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import itertools
 import os
 import random
@@ -12,9 +13,11 @@ from conftest import (
     build_records,
     dir_synced_after_replace,
     make_token,
+    rival_copies,
 )
 from tokenledger import (
     AppendResult,
+    ChainReport,
     HashConfig,
     KeyMaterial,
     Ledger,
@@ -142,6 +145,21 @@ def test_conflict_marks_a_rival_at_a_retained_slot_only(cfg, db):
         assert ledger.append(mine[2]) == AppendResult("duplicate")
         assert ledger.append(rival[5]) == AppendResult("rejected", "seq-gap")
         assert ledger.append(rival[4]) == AppendResult("rejected", "bad-G(1)")
+
+
+@pytest.mark.parametrize("seq", [0, 2, 4])  # the genesis, a middle record, the head
+@pytest.mark.parametrize("changed", [0, 1], ids=["owner", "data"])
+def test_a_copy_that_keeps_the_key_is_a_conflict_not_a_duplicate(cfg, db, seq, changed):
+    """Only the same bytes are a duplicate: a copy of a retained record that
+    differs only in its owner or only in its data is a rival."""
+    with Ledger(cfg, db) as ledger:
+        mine = fill(ledger, cfg, S, "pw", 5)
+        before = ledger.file_bytes()
+        copy = rival_copies(mine[seq])[changed]
+        reason = "genesis-exists" if seq == 0 else "seq-occupied"
+        assert ledger.append(copy) == AppendResult("rejected", reason, conflict=True)
+        assert ledger.file_bytes() == before
+        assert ledger.get_chain(S) == mine
 
 
 def test_conflict_is_not_marked_below_a_bounded_window(cfg, db):
@@ -354,22 +372,27 @@ def test_verify_all_matches_verify_chain_on_every_mutant_that_loads():
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_load_proves_each_link_once_and_verify_all_hashes_nothing(m, db, monkeypatch):
     """m + 1 hashes per link at load, through the name the benchmark's
-    tracer rebinds; verify_all reports those proofs and hashes nothing."""
-    from tokenledger import chain
+    tracer rebinds; verify_all reports those proofs: one ChainReport per
+    token, with no hash, no link check and no copy of a chain."""
+    from tokenledger import chain, store
 
     cfg = HashConfig(generator_count=m)
+    second = make_token("second")
     with Ledger(cfg, db) as ledger:
         fill(ledger, cfg, S, "pw", 6)
-        fill(ledger, cfg, make_token("second"), "pw-2", 3)
+        fill(ledger, cfg, second, "pw-2", 3)
     calls = []
     counted = chain.canonical_hash
     monkeypatch.setattr(chain, "canonical_hash", lambda *a: calls.append(a) or counted(*a))
     with Ledger(cfg, db) as loaded:
         assert len(calls) == (m + 1) * (5 + 2)
         calls.clear()
+        for module in (chain, store):
+            monkeypatch.setattr(module, "verify_link", lambda *a: calls.append(a))
+        monkeypatch.setattr(loaded, "get_chain", lambda *a: calls.append(a))
         reports = loaded.verify_all()
     assert calls == []
-    assert [len(reports[token].verdicts) for token in (S, make_token("second"))] == [5, 2]
+    assert reports == {S: ChainReport(S), second: ChainReport(second)}
 
 
 # -- persistence -------------------------------------------------------------------
@@ -485,6 +508,57 @@ def test_durability_prefix_property(cfg, db):
         crash.write_bytes(content[:boundary])
         with Ledger(cfg, crash) as survivor:
             assert [r.seq for r in survivor.get_chain(S)] == list(range(k))
+
+
+class _TornWrite:
+    """A ledger file handle whose next write puts half the line in the file
+    and then fails, as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+@pytest.mark.parametrize("fault", ["fsync", "write"])
+def test_a_failed_write_stops_appends_until_reopened(cfg, db, fault, monkeypatch):
+    """After a write or fsync of an append raises, the live ledger does not
+    hold the record, and it takes no other record either: the file may hold
+    the line, so only a reload can tell what is at that slot."""
+    records = build_records(cfg, S, "pw", 3)
+    variant = dataclasses.replace(records[1], data="other bytes for the same slot")
+    real_fsync = os.fsync
+
+    def failing_fsync(fd):
+        monkeypatch.setattr(os, "fsync", real_fsync)  # fails once
+        raise OSError(errno.EIO, "Input/output error")
+
+    with Ledger(cfg, db) as ledger:
+        ledger.append(records[0])
+        if fault == "fsync":
+            monkeypatch.setattr(os, "fsync", failing_fsync)
+        else:
+            ledger._fh = _TornWrite(ledger._fh)
+        with pytest.raises(OSError):
+            ledger.append(records[1])
+        assert ledger.get_head(S) == records[0]
+        for later in (variant, records[1], build_records(cfg, make_token("later"), "pw", 1)[0]):
+            with pytest.raises(RuntimeError, match="reopen"):
+                ledger.append(later)
+        assert ledger.get_chain(S) == records[:1]  # reads go on
+    with Ledger(cfg, db) as reopened:
+        held = reopened.get_chain(S)
+        # the fsync failed after the whole line was written; the torn line is truncated
+        assert held == (records[:2] if fault == "fsync" else records[:1])
+        assert reopened.append(records[len(held)]).status == "added"
+    with Ledger(cfg, db) as again:
+        assert again.get_chain(S) == records[: len(held) + 1]
 
 
 def test_concurrent_appends_different_tokens(cfg, db):

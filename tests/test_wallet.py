@@ -337,6 +337,50 @@ def test_wrong_record_at_slot_aborts_with_evidence(cfg):
         recipient_counter(cfg, exchange.chain(), km_r, r_session)
 
 
+def test_wrong_generator_at_a_middle_step_aborts_with_evidence():
+    """A step-2 record (m = 2) whose owner is the recipient's but whose slot 2
+    is not the value the counter sent aborts at the next counter. Only a
+    middle step shows this: at the final step the ownership check fails too."""
+    cfg = HashConfig(generator_count=2)
+    km_s = KeyMaterial(cfg, S, "pw-s")
+    km_r = KeyMaterial(cfg, S, "pw-r")
+    exchange = Exchange(cfg, S, build_records(cfg, S, "pw-s", 1))
+    offer, r_session = recipient_offer(cfg, S, 0, km_r)
+    half, s_session = sender_publish_half(cfg, exchange.chain(), km_s, offer)
+    exchange.publish(half)
+    s_session.mark_published(half.seq)
+    counter = recipient_counter(cfg, exchange.chain(), km_r, r_session)
+    step2 = sender_publish_next(cfg, exchange.chain(), km_s, s_session, counter)
+    g1, g2 = step2.generators
+    assert (g2,) == counter.generator_commitments and step2.owner == counter.owner_commitment
+    flipped = ("0" if g2[0] != "0" else "1") + g2[1:]
+    exchange.publish(dataclasses.replace(step2, generators=(g1, flipped)))
+    with pytest.raises(TransferAborted, match="generator slot 2 mismatch"):
+        recipient_counter(cfg, exchange.chain(), km_r, r_session)
+    assert r_session.phase == "aborted"
+
+
+def test_final_record_followed_by_a_stranger_aborts_the_finish(cfg):
+    """The final record carries the recipient's values, but a record after it
+    that the recipient's keys do not own means ownership did not transfer."""
+    km_s = KeyMaterial(cfg, S, "pw-s")
+    km_r = KeyMaterial(cfg, S, "pw-r")
+    exchange = Exchange(cfg, S, build_records(cfg, S, "pw-s", 1))
+    offer, r_session = recipient_offer(cfg, S, 0, km_r)
+    half, s_session = sender_publish_half(cfg, exchange.chain(), km_s, offer)
+    exchange.publish(half)
+    s_session.mark_published(half.seq)
+    counter = recipient_counter(cfg, exchange.chain(), km_r, r_session)
+    final = sender_publish_next(cfg, exchange.chain(), km_s, s_session, counter)
+    exchange.publish(final)
+    assert owns(cfg, exchange.chain(), km_r)
+    exchange.publish(dataclasses.replace(final, seq=final.seq + 1))
+    assert not owns(cfg, exchange.chain(), km_r)
+    with pytest.raises(TransferAborted, match="ownership did not transfer"):
+        recipient_finish(cfg, exchange.chain(), km_r, r_session)
+    assert r_session.phase == "aborted"
+
+
 def test_tampered_counter_rejected_phase_unchanged(cfg):
     km_s = KeyMaterial(cfg, S, "pw-s")
     km_r = KeyMaterial(cfg, S, "pw-r")
